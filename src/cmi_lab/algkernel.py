@@ -33,6 +33,7 @@ Kernels are immutable and the engines hold no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,6 +49,9 @@ SELECTOR_CAP = 2**20
 
 #: exact supersample enumeration refuses beyond this many supersamples.
 ENUMERATION_CAP = 10**7
+
+#: Monte-Carlo CMI refuses fewer trials than this.
+MIN_MC_TRIALS = 10
 
 #: 95% two-sided normal quantile used for every confidence interval.
 Z_95 = 1.959963984540054
@@ -156,27 +160,36 @@ class AlgorithmKernel:
     dataset always yields the identical table.  ``output_universe`` is the
     label set W when it is finite and known; ``None`` means the reachable
     output set is discovered per supersample (necessary e.g. for learners
-    whose outputs are data-dependent real thresholds).  ``deterministic``
-    marks kernels whose distributions are all point masses, which unlocks an
-    entropy-only fast path in the exact engine.
+    whose outputs are data-dependent real thresholds).  ``raw_map`` is the
+    same algorithm as a dataset -> label function, set only when there is no
+    randomness; the engines then count labels instead of building a table
+    per dataset.  ``deterministic`` is derived: it is ``raw_map is not None``.
     """
 
     evaluate: Callable[[tuple[Any, ...]], FiniteDistribution]
     output_universe: tuple[Any, ...] | None = None
-    deterministic: bool = False
     name: str = ""
     certificate: Any = None
-    # label-valued shortcut for deterministic kernels; engines use it to skip
-    # building a point-mass table per dataset
     raw_map: Callable[[tuple[Any, ...]], Any] | None = None
+
+    def __post_init__(self) -> None:
+        universe = None if self.output_universe is None else frozenset(self.output_universe)
+        object.__setattr__(self, "_universe", universe)
+
+    @property
+    def deterministic(self) -> bool:
+        return self.raw_map is not None
+
+    def check_outputs(self, labels: Iterable[Any]) -> None:
+        """Raise ValueError if any label lies outside ``output_universe``."""
+        universe = self._universe  # type: ignore[attr-defined]
+        stray = [] if universe is None else [lab for lab in labels if lab not in universe]
+        if stray:
+            raise ValueError(f"kernel output outside universe: {stray[:3]!r}")
 
     def __call__(self, dataset: tuple[Any, ...]) -> FiniteDistribution:
         dist = self.evaluate(tuple(dataset))
-        if self.output_universe is not None:
-            allowed = set(self.output_universe)
-            stray = [lab for lab in dist.support() if lab not in allowed]
-            if stray:
-                raise ValueError(f"kernel output outside universe: {stray[:3]!r}")
+        self.check_outputs(dist.support())
         return dist
 
     @classmethod
@@ -191,7 +204,6 @@ class AlgorithmKernel:
         return cls(
             evaluate=lambda ds: FiniteDistribution.point_mass(fn(ds)),
             output_universe=output_universe,
-            deterministic=True,
             name=name,
             certificate=certificate,
             raw_map=fn,
@@ -253,6 +265,13 @@ class CmiEstimate:
         )
 
 
+def sampling_table(dist: FiniteDistribution) -> tuple[tuple[Any, ...], np.ndarray]:
+    """The labels of ``dist`` with their masses renormalized for ``rng.choice``."""
+    labels = dist.labels()
+    masses = np.array([dist.mass(lab) for lab in labels], dtype=float)
+    return labels, masses / masses.sum()
+
+
 @dataclass(frozen=True)
 class SupersampleSampler:
     """Draws supersamples distributed as D^{n x 2} from a derived seed.
@@ -273,9 +292,7 @@ class SupersampleSampler:
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution, n: int) -> "SupersampleSampler":
-        labels = dist.labels()
-        masses = np.array([dist.mass(lab) for lab in labels], dtype=float)
-        masses = masses / masses.sum()
+        labels, masses = sampling_table(dist)
 
         def draw(seed: int) -> Supersample:
             rng = np.random.default_rng(seed)
@@ -303,6 +320,16 @@ def _check_selector_cap(n: int, cap: int = SELECTOR_CAP) -> None:
         )
 
 
+def selected_datasets(supersample: Supersample, cap: int = SELECTOR_CAP) -> Iterator[tuple]:
+    """The 2^n selected datasets z_s, selectors s in integer order (bit i of
+    s picks the column of row i), after checking the cap.  Every exact
+    engine enumerates selectors through this generator."""
+    _check_selector_cap(supersample.n, cap)
+    # product varies its last factor fastest; feeding the rows reversed makes
+    # row 0, the lowest selector bit, the fastest-varying entry
+    return (ds[::-1] for ds in itertools.product(*reversed(supersample.grid)))
+
+
 def channel_matrix(
     supersample: Supersample, kernel: AlgorithmKernel
 ) -> tuple[np.ndarray, list[Any]]:
@@ -310,23 +337,16 @@ def channel_matrix(
 
     Rows are selectors in integer order; columns are output labels in first
     encountered order (deterministic because selectors are enumerated in a
-    fixed order).
+    fixed order).  Only Blahut-Arimoto needs dense rows; the others stream.
     """
-    n = supersample.n
-    _check_selector_cap(n)
     columns: dict[Any, int] = {}
-    rows: list[list[tuple[int, float]]] = []
-    for sel in all_selectors(n):
-        dist = kernel(select(supersample, sel))
-        entries = []
-        for label, mass in dist.atoms:
-            if mass <= 0.0:
-                continue
-            if label not in columns:
-                columns[label] = len(columns)
-            entries.append((columns[label], mass))
-        rows.append(entries)
-    mat = np.zeros((2**n, len(columns)))
+    rows = [
+        [(columns.setdefault(label, len(columns)), mass)
+         for label, mass in kernel.evaluate(ds).atoms if mass > 0.0]
+        for ds in selected_datasets(supersample)
+    ]
+    kernel.check_outputs(columns)
+    mat = np.zeros((len(rows), len(columns)))
     for i, entries in enumerate(rows):
         for j, mass in entries:
             mat[i, j] = mass
@@ -334,7 +354,8 @@ def channel_matrix(
 
 
 def mi_uniform_input(conditional: np.ndarray) -> float:
-    """I(input; output) for a row-stochastic matrix with uniform input."""
+    """I(input; output) for a row-stochastic matrix with uniform input; the
+    dense reference the streamed engine is tested against."""
     rows = conditional.shape[0]
     marginal = conditional.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -343,13 +364,54 @@ def mi_uniform_input(conditional: np.ndarray) -> float:
     return float(terms.sum() / rows)
 
 
-def _entropy_of_counts(counts: Iterable[int], total: int) -> float:
-    acc = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            acc -= p * math.log(p)
+def _merged(pairs: Iterable[tuple[Any, float]], key: Callable[[Any], Any]) -> dict[Any, float]:
+    acc: dict[Any, float] = {}
+    for label, mass in pairs:
+        k = key(label)
+        acc[k] = acc.get(k, 0) + mass
     return acc
+
+
+def _selection_information(
+    supersample: Supersample,
+    kernel: AlgorithmKernel,
+    relabel: Callable[[Any], Any] | None = None,
+    *,
+    selector_cap: int = SELECTOR_CAP,
+) -> tuple[float, int]:
+    """I(relabel(A(z_S)); S) for a uniform selector, with the number of
+    reachable (relabeled) outputs.
+
+    Computed as H(marginal) - mean_s H(P(. | s)) in one pass over the
+    selectors, holding only the marginal: O(|W|) memory.  A kernel with a
+    ``raw_map`` adds an integer count per selector (its rows have zero
+    entropy); any other kernel adds its probability row.  ``relabel`` merges
+    outputs by a deterministic key before the entropies are taken.
+    """
+    total = 2**supersample.n
+    datasets = selected_datasets(supersample, selector_cap)
+    marginal: dict[Any, float] = {}
+    row_entropy = 0.0
+    if kernel.raw_map is not None:
+        fetch = kernel.raw_map
+        for ds in datasets:
+            label = fetch(ds)
+            marginal[label] = marginal.get(label, 0) + 1
+    else:
+        for ds in datasets:
+            row = [(label, mass) for label, mass in kernel.evaluate(ds).atoms if mass > 0.0]
+            for label, mass in row:
+                marginal[label] = marginal.get(label, 0.0) + mass
+            masses = row if relabel is None else _merged(row, relabel).items()
+            row_entropy -= sum(mass * math.log(mass) for _, mass in masses)
+    kernel.check_outputs(marginal)
+    if relabel is not None:
+        marginal = _merged(marginal.items(), relabel)
+    value = 0.0
+    for mass in marginal.values():
+        p = mass / total
+        value -= p * math.log(p)
+    return value - row_entropy / total, len(marginal)
 
 
 def cmi_exact_fixed(
@@ -361,27 +423,12 @@ def cmi_exact_fixed(
     """Exact selection information I(A(z_s); S) for one fixed supersample.
 
     Enumerates all 2^n selectors.  For deterministic kernels this reduces to
-    the entropy of the output under a uniform selector; in general it is the
-    mutual information of the explicit joint built from the kernel's
-    distribution tables.
+    the entropy of the output under a uniform selector; in general it is
+    H(output) - H(output | S) accumulated from the kernel's distribution
+    tables.
     """
-    n = supersample.n
-    _check_selector_cap(n, selector_cap)
-    if kernel.deterministic:
-        fetch = kernel.raw_map or (lambda ds: kernel(ds).point_label())
-        counts: dict[Any, int] = {}
-        grid = supersample.grid
-        for v in range(2**n):
-            ds = tuple(grid[i][(v >> i) & 1] for i in range(n))
-            label = fetch(ds)
-            counts[label] = counts.get(label, 0) + 1
-        value = _entropy_of_counts(counts.values(), 2**n)
-        reachable = len(counts)
-    else:
-        mat, outputs = channel_matrix(supersample, kernel)
-        value = mi_uniform_input(mat)
-        reachable = len(outputs)
-    _validate_cmi_value(value, n, reachable)
+    value, reachable = _selection_information(supersample, kernel, selector_cap=selector_cap)
+    _validate_cmi_value(value, supersample.n, reachable)
     return CmiEstimate(value=value, method="exact")
 
 
@@ -461,8 +508,8 @@ def cmi_distributional(
         value = total
         return CmiEstimate(value=value, method="exact")
     if mode == "mc":
-        if trials < 10:
-            raise ValueError(f"Monte Carlo needs at least 10 trials, got {trials}")
+        if trials < MIN_MC_TRIALS:
+            raise ValueError(f"Monte Carlo needs at least {MIN_MC_TRIALS} trials, got {trials}")
         mean, ci, _ = monte_carlo_mean(inner, sampler, trials, seed)
         return CmiEstimate(
             value=mean, method="monte-carlo", ci_halfwidth=ci, trials=trials, seed=seed
@@ -600,17 +647,10 @@ def ecmi_fixed(
     loss_eval = getattr(loss, "eval", loss)
     if not callable(loss_eval):
         raise TypeError("loss must be callable or carry a callable .eval")
-    mat, outputs = channel_matrix(supersample, kernel)
     points = supersample.points()
-    groups: dict[tuple, list[int]] = {}
-    for j, w in enumerate(outputs):
-        vec = tuple(loss_eval(w, pt) for pt in points)
-        groups.setdefault(vec, []).append(j)
-    merged = np.zeros((mat.shape[0], len(groups)))
-    for k, cols in enumerate(groups.values()):
-        merged[:, k] = mat[:, cols].sum(axis=1)
-    value = mi_uniform_input(merged)
-    _validate_cmi_value(value, supersample.n, len(groups))
+    loss_vector = functools.cache(lambda w: tuple(loss_eval(w, pt) for pt in points))
+    value, reachable = _selection_information(supersample, kernel, loss_vector)
+    _validate_cmi_value(value, supersample.n, reachable)
     return CmiEstimate(value=value, method="exact")
 
 
@@ -636,14 +676,21 @@ def compose_pair(a1: AlgorithmKernel, a2: AlgorithmKernel) -> AlgorithmKernel:
                 atoms.append(((l1, l2), m1 * m2))
         return FiniteDistribution(tuple(atoms))
 
+    def raw_map(ds: tuple[Any, ...]) -> tuple[Any, Any]:
+        # each part checks its own universe, which the pair's may not cover
+        w1, w2 = a1.raw_map(ds), a2.raw_map(ds)
+        a1.check_outputs((w1,))
+        a2.check_outputs((w2,))
+        return w1, w2
+
     universe = None
     if a1.output_universe is not None and a2.output_universe is not None:
         universe = tuple(itertools.product(a1.output_universe, a2.output_universe))
     return AlgorithmKernel(
         evaluate=evaluate,
         output_universe=universe,
-        deterministic=a1.deterministic and a2.deterministic,
         name=f"({a1.name}x{a2.name})",
+        raw_map=raw_map if a1.deterministic and a2.deterministic else None,
     )
 
 

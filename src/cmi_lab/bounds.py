@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ._seeding import derive_seed
-from .algkernel import Z_95, CmiEstimate, Supersample, SupersampleSampler
+from .algkernel import Z_95, CmiEstimate, SupersampleSampler, sampling_table
 from .info_core import LOG2, FiniteDistribution, Nats
 
 LOG3 = math.log(3.0)
@@ -356,52 +356,28 @@ def positive_rate(dist: FiniteDistribution, is_positive: Callable[[Any], bool]) 
 
 @dataclass(frozen=True)
 class Population:
-    """A data distribution with sampling plus an *exact* population-loss
-    evaluator (finite-support summation or a supplied closed form)."""
+    """A finite data distribution with seeded sampling and an *exact*
+    population-loss evaluator (summation over its support)."""
 
-    draw_fn: Callable[[np.random.Generator, int], tuple]
-    expected_loss_fn: Callable[[Any, Callable[[Any, Any], float]], float]
-    points: FiniteDistribution | None = None
+    points: FiniteDistribution
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_table", sampling_table(self.points))
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        return self.draw_fn(rng, n)
+        labels, masses = self._table  # type: ignore[attr-defined]
+        idx = rng.choice(len(labels), size=n, p=masses)
+        return tuple(labels[i] for i in idx)
 
     def expected_loss(self, hypothesis: Any, loss_eval: Callable[[Any, Any], float]) -> float:
-        return self.expected_loss_fn(hypothesis, loss_eval)
+        return sum(m * loss_eval(hypothesis, z) for z, m in self.points.atoms if m > 0.0)
 
     def supersample_sampler(self, n: int) -> SupersampleSampler:
-        if self.points is not None:
-            return SupersampleSampler.from_distribution(self.points, n)
-
-        def draw(seed: int) -> Supersample:
-            rng = np.random.default_rng(seed)
-            flat = self.draw_fn(rng, 2 * n)
-            return Supersample(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(n)))
-
-        return SupersampleSampler.from_draw_fn(draw, n)
+        return SupersampleSampler.from_distribution(self.points, n)
 
     @classmethod
     def from_finite(cls, dist: FiniteDistribution) -> "Population":
-        labels = dist.labels()
-        masses = np.array([dist.mass(lab) for lab in labels], dtype=float)
-        masses = masses / masses.sum()
-
-        def draw(rng: np.random.Generator, n: int) -> tuple:
-            idx = rng.choice(len(labels), size=n, p=masses)
-            return tuple(labels[i] for i in idx)
-
-        def expected(hypothesis, loss_eval) -> float:
-            return sum(m * loss_eval(hypothesis, z) for z, m in dist.atoms if m > 0.0)
-
-        return cls(draw_fn=draw, expected_loss_fn=expected, points=dist)
-
-    @classmethod
-    def from_sampler(
-        cls,
-        draw_fn: Callable[[np.random.Generator, int], tuple],
-        expected_loss_fn: Callable[[Any, Callable[[Any, Any], float]], float],
-    ) -> "Population":
-        return cls(draw_fn=draw_fn, expected_loss_fn=expected_loss_fn, points=None)
+        return cls(points=dist)
 
 
 @dataclass(frozen=True)
@@ -464,8 +440,6 @@ def estimate_gap(
     if trials < MIN_GAP_TRIALS:
         raise ValueError(f"need at least {MIN_GAP_TRIALS} trials, got {trials}")
     loss_eval = getattr(loss, "eval", loss)
-    if population.expected_loss_fn is None:
-        raise ValueError("population lacks an exact loss evaluator")
     emp = np.empty(trials)
     pop = np.empty(trials)
     for t in range(trials):
@@ -686,8 +660,6 @@ def check_auroc(
     deviations above ``epsilon`` and the RHS is the failure bound clamped
     at 1.
     """
-    if population.points is None:
-        raise ValueError("AUROC check needs a finite population for exact evaluation")
     p = positive_rate(population.points, is_positive)
     if not 0.0 < p < 1.0:
         raise ValueError(f"positive rate must lie strictly in (0,1), got {p!r}")

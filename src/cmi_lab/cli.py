@@ -50,7 +50,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
     parser.add_argument("--seed-override", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,9 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "suite":
-            report = run_suite(
-                args.config, seed_override=args.seed_override, jobs=args.jobs
-            )
+            report = run_suite(args.config, seed_override=args.seed_override)
             text = emit(report, args.format, args.out)
             if args.out is not None:
                 sys.stdout.write(f"report written to {args.out}\n")

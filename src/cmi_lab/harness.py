@@ -7,10 +7,12 @@ names a registered learner, data distribution, and loss, fixes ``n``,
 
 Determinism contract: rerunning an identical (config, seed) pair yields a
 bit-identical report in exact mode, and identical Monte-Carlo numbers via
-the seed-derivation rule hash(seed, experiment-id, trial).  Worker-pool
-size never affects results: experiments are independent pure computations
-assembled in config order.  Exact mode is never silently downgraded to
-Monte Carlo -- an infeasible exact request is an error.
+the seed-derivation rule hash(seed, experiment-id, trial).  Experiments run
+one after another in config order; each is a pure computation of its own
+config and seed, so no experiment's numbers depend on another's.  Exact
+mode is never silently downgraded to Monte Carlo -- an infeasible exact
+request is an error.  A config is validated in full (ids, trial floors)
+before any experiment runs.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Mapping
@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from ._seeding import derive_seed
 from .algkernel import (
+    MIN_MC_TRIALS,
     AlgorithmKernel,
     CmiEstimate,
     Supersample,
@@ -41,6 +42,7 @@ from .algkernel import (
     ucmi_fixed,
 )
 from .bounds import (
+    MIN_GAP_TRIALS,
     BoundReport,
     GapEstimate,
     LossSpec,
@@ -65,9 +67,6 @@ from .learners import (
     threshold_learn,
     threshold_selection_entropy,
 )
-
-JOBS_ENV_VAR = "CMI_LAB_JOBS"
-
 
 class ConfigError(ValueError):
     """Malformed configuration document."""
@@ -263,6 +262,7 @@ class ExperimentConfig:
             cmi_trials=int(cmi.get("trials", 500)),
         )
         config.validate_ids()
+        config.validate_trials()
         return config
 
     def validate_ids(self) -> None:
@@ -275,6 +275,17 @@ class ExperimentConfig:
         for req in self.theorems:
             if req.theorem_id not in THEOREMS:
                 raise UnknownComponentError(f"unknown theorem id {req.theorem_id!r}")
+
+    def validate_trials(self) -> None:
+        """Reject trial counts below the estimators' floors before any compute."""
+        if any(req.theorem_id != "auroc" for req in self.theorems):
+            self.check_gap_trials()
+        if self.cmi_mode != "exact" and self.cmi_trials < MIN_MC_TRIALS:
+            raise ConfigError(f"{self.experiment_id!r}: cmi trials {self.cmi_trials} < {MIN_MC_TRIALS}")
+
+    def check_gap_trials(self) -> None:
+        if self.trials < MIN_GAP_TRIALS:
+            raise ConfigError(f"{self.experiment_id!r}: gap trials {self.trials} < {MIN_GAP_TRIALS}")
 
     @property
     def fingerprint(self) -> str:
@@ -481,18 +492,6 @@ def run_experiment(config: ExperimentConfig, seed_override: int | None = None) -
     return ExperimentResult(config.experiment_id, cmi_estimates, tuple(reports)), properties
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        return max(1, int(jobs))
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad {JOBS_ENV_VAR} value {env!r}") from exc
-    return 1
-
-
 def load_config(source: str | Mapping[str, Any]) -> tuple[dict, list[ExperimentConfig]]:
     if isinstance(source, Mapping):
         obj = dict(source)
@@ -502,6 +501,11 @@ def load_config(source: str | Mapping[str, Any]) -> tuple[dict, list[ExperimentC
     if not isinstance(obj, dict) or "experiments" not in obj:
         raise ConfigError("config must be a JSON object with an 'experiments' list")
     configs = [ExperimentConfig.from_obj(e) for e in obj["experiments"]]
+    seen: set[str] = set()
+    for cfg in configs:
+        if cfg.experiment_id in seen:
+            raise ConfigError(f"duplicate experiment id {cfg.experiment_id!r}")
+        seen.add(cfg.experiment_id)
     return obj, configs
 
 
@@ -509,32 +513,19 @@ def run_suite(
     source: str | Mapping[str, Any],
     *,
     seed_override: int | None = None,
-    jobs: int | None = None,
 ) -> SuiteReport:
     """Execute every experiment in the config and assemble a SuiteReport.
 
-    Experiments are scheduled on a worker pool of ``jobs`` threads (default
-    from the CMI_LAB_JOBS environment variable, else 1) and assembled in
-    config order, so the report does not depend on the pool size.
+    Experiments run serially in config order; ``wall_times`` records each
+    one's elapsed seconds under its (unique) id.
     """
     obj, configs = load_config(source)
-    n_jobs = _resolve_jobs(jobs)
     results: list[tuple[ExperimentResult, list[PropertyResult]]] = []
     wall: dict[str, float] = {}
-
-    def timed_run(cfg: ExperimentConfig):
+    for cfg in configs:
         start = time.perf_counter()
-        out = run_experiment(cfg, seed_override=seed_override)
-        return out, time.perf_counter() - start
-
-    if n_jobs == 1 or len(configs) <= 1:
-        timed = [timed_run(cfg) for cfg in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            timed = list(pool.map(timed_run, configs))
-    for cfg, (out, elapsed) in zip(configs, timed):
-        results.append(out)
-        wall[cfg.experiment_id] = elapsed
+        results.append(run_experiment(cfg, seed_override=seed_override))
+        wall[cfg.experiment_id] = time.perf_counter() - start
 
     experiments = tuple(res for res, _ in results)
     properties = tuple(p for _, props in results for p in props)
@@ -619,6 +610,7 @@ def single_ecmi(
 
 
 def single_gap(config: ExperimentConfig, seed_override: int | None = None) -> dict:
+    config.check_gap_trials()
     seed = config.seed if seed_override is None else seed_override
     bundle = LEARNERS[config.learner_id](config.learner_params)
     dist = DISTRIBUTIONS[config.distribution_id](config.distribution_params)

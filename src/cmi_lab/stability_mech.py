@@ -37,11 +37,9 @@ import numpy as np
 
 from .algkernel import (
     AlgorithmKernel,
-    ExactEnumerationError,
-    SELECTOR_CAP,
     Supersample,
-    all_selectors,
-    select,
+    _check_selector_cap,
+    selected_datasets,
     ucmi_fixed,
 )
 from .info_core import LOG2, FiniteDistribution, Nats
@@ -160,7 +158,6 @@ def randomized_response(p: float, n: int) -> AlgorithmKernel:
     return AlgorithmKernel(
         evaluate=evaluate,
         output_universe=universe,
-        deterministic=False,
         name=f"randomized-response(p={p})",
         certificate=StabilityCertificate(notion="DP", parameter=params.epsilon, n=n),
     )
@@ -188,8 +185,7 @@ def rr_exact_cmi(p: float, n: int) -> float:
 def rr_channel_matrix(p: float, n: int) -> np.ndarray:
     """The 2^n x 2^n channel selector -> output on the selector-revealing
     supersample, built directly from the Hamming-distance law."""
-    if 2**n > SELECTOR_CAP:
-        raise ExactEnumerationError(f"2^{n} exceeds the selector cap")
+    _check_selector_cap(n)
     idx = np.arange(2**n, dtype=np.uint64)
     ham = np.bitwise_count(idx[:, None] ^ idx[None, :]).astype(float)
     return p**ham * (1.0 - p) ** (n - ham)
@@ -316,25 +312,20 @@ def ecmi_gaussian_bound(
     Var <= (1/4) sum_k E[(f(S) - f(S xor e_k))^2] <= n gamma^2 / 2 per
     evaluation point, and the chain is asserted before returning.
 
-    Stochastic kernels are rejected; the construction derandomizes through
-    the deterministic map s -> A(z_s).
+    Kernels without a ``raw_map`` are rejected as stochastic; the
+    construction derandomizes through the deterministic map s -> A(z_s).
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     gamma = getattr(loss, "uniform_stability", None)
     if gamma is None:
         raise ValueError("loss carries no certified uniform stability gamma")
+    if not kernel.deterministic:
+        raise ValueError("uniform stability applies to deterministic algorithms only")
     loss_eval = getattr(loss, "eval", loss)
     n = supersample.n
-    if 2**n > SELECTOR_CAP:
-        raise ExactEnumerationError(f"2^{n} selector states exceed the cap")
-
-    outputs = []
-    for sel in all_selectors(n):
-        dist = kernel(select(supersample, sel))
-        if not dist.is_point_mass():
-            raise ValueError("uniform stability applies to deterministic algorithms only")
-        outputs.append(dist.point_label())
+    outputs = [kernel.raw_map(ds) for ds in selected_datasets(supersample)]
+    kernel.check_outputs(outputs)
 
     points = supersample.points()
     table = np.array(

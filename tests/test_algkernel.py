@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cmi_lab.algkernel import (
     mi_uniform_input,
     postprocess,
     select,
+    selected_datasets,
     ucmi_fixed,
 )
 from cmi_lab.info_core import (
@@ -31,7 +33,7 @@ from cmi_lab.info_core import (
     JointPmf,
     mutual_information,
 )
-from cmi_lab.stability_mech import randomized_response, rr_selector_supersample
+from cmi_lab.stability_mech import randomized_response, rr_selector_supersample, tv_lottery
 
 
 def distinct_supersample(n):
@@ -124,6 +126,52 @@ class TestCmiExactFixed:
                         table[(i, w)] = mat[i, j] / 2**n
             ref = float(mutual_information(JointPmf.from_dict(table)))
             assert cmi_exact_fixed(ss, kernel).value == pytest.approx(ref, abs=1e-12)
+            # ECMI: the same joint after merging outputs by loss vector
+            points = ss.points()
+            bits = {(w, pt): int(rng.integers(0, 2)) for w in outs for pt in points}
+            loss = lambda w, pt: bits[(w, pt)]  # noqa: E731
+            merged = {}
+            for (i, w), mass in table.items():
+                key = (i, tuple(loss(w, pt) for pt in points))
+                merged[key] = merged.get(key, 0.0) + mass
+            ref = float(mutual_information(JointPmf.from_dict(merged)))
+            assert ecmi_fixed(ss, kernel, loss).value == pytest.approx(ref, abs=1e-12)
+
+    def test_selected_datasets_in_selector_order(self):
+        ss = distinct_supersample(4)
+        expected = [select(ss, sel) for sel in all_selectors(ss.n)]
+        assert list(selected_datasets(ss)) == expected
+        with pytest.raises(ExactEnumerationError):
+            selected_datasets(ss, cap=2**3)
+
+    def test_stochastic_engine_streams(self):
+        # the uniform-selector engine keeps only the output marginal, not
+        # the 2^n x |W| channel (which is 2048 x 2049 here)
+        ss = Supersample(tuple((i, -i) for i in range(1, 12)))
+        tracemalloc.start()
+        try:
+            value = cmi_exact_fixed(ss, tv_lottery(0.3, 11)).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(0.3 * 11 * LOG2, abs=1e-10)
+        assert peak < 16 * 2**20
+
+    def test_outputs_outside_universe_rejected(self):
+        ss = distinct_supersample(3)
+        det = AlgorithmKernel.deterministic_map(lambda ds: ds[0], output_universe=("a0",))
+        stoch = AlgorithmKernel(
+            evaluate=lambda ds: FiniteDistribution(((ds[0], 0.5), ("x", 0.5))),
+            output_universe=("a0", "x"),
+        )
+        loss = lambda w, pt: 0.0  # noqa: E731
+        for kernel in (det, stoch):
+            with pytest.raises(ValueError, match="outside universe"):
+                cmi_exact_fixed(ss, kernel)
+            with pytest.raises(ValueError, match="outside universe"):
+                ecmi_fixed(ss, kernel, loss)
+            with pytest.raises(ValueError, match="outside universe"):
+                ucmi_fixed(ss, kernel)
 
     def test_entropy_cap_on_reachable_outputs(self):
         ss = distinct_supersample(6)

@@ -98,25 +98,6 @@ class TestRunSuite:
         assert emit(a, "csv", None) == emit(b, "csv", None)
         assert a.to_json_obj()["experiments"] == b.to_json_obj()["experiments"]
 
-    def test_jobs_do_not_change_results(self):
-        cfg = {
-            "experiments": [
-                small_config()["experiments"][0],
-                {**small_config()["experiments"][0], "id": "tiny2", "seed": 9},
-            ]
-        }
-        serial = emit(run_suite(cfg, jobs=1), "csv", None)
-        parallel = emit(run_suite(cfg, jobs=4), "csv", None)
-        assert serial == parallel
-
-    def test_env_var_sets_default_jobs(self, monkeypatch):
-        monkeypatch.setenv("CMI_LAB_JOBS", "2")
-        report = run_suite(small_config())
-        assert report.all_satisfied
-        monkeypatch.setenv("CMI_LAB_JOBS", "zebra")
-        with pytest.raises(ConfigError):
-            run_suite(small_config())
-
     def test_seed_override_changes_mc_results(self):
         cfg = small_config(cmi={"mode": "mc", "trials": 50})
         base = run_suite(cfg)
@@ -176,6 +157,23 @@ class TestCli:
         fal = tmp_path / "fal.json"
         fal.write_text(json.dumps(falsified))
         assert cli.main(["suite", "--config", str(fal), "--out", str(out)]) == 4
+
+    def test_config_errors_exit_2_before_compute(self, tmp_path):
+        exp = small_config()["experiments"][0]
+        cases = {
+            "duplicate-ids": {"experiments": [exp, {**exp, "seed": 9}]},
+            "gap-trials": small_config(trials=99),
+            "mc-trials": small_config(cmi={"mode": "mc", "trials": 9}),
+            "both-trials": small_config(cmi={"mode": "both", "trials": 9}),
+        }
+        for name, cfg in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["suite", "--config", str(path)]) == 2, name
+        # the gap command estimates a gap whatever theorems are listed
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(small_config(trials=99, theorems=["auroc"])))
+        assert cli.main(["gap", "--config", str(path)]) == 2
 
     def test_missing_config_is_config_error(self):
         assert cli.main(["suite", "--config", "/no/such/file.json"]) == 2
