@@ -457,9 +457,13 @@ def monte_carlo_mean(
     values = np.empty(trials)
     for t in range(trials):
         values[t] = evaluator(sampler.draw(derive_seed(seed, t)))
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if trials > 1 else 0.0
-    return mean, Z_95 * sd / math.sqrt(trials), values
+    return (*mean_ci(values), values)
+
+
+def mean_ci(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its normal-approximation 95% CI halfwidth."""
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return float(values.mean()), Z_95 * sd / math.sqrt(values.size)
 
 
 def cmi_distributional(
@@ -505,8 +509,7 @@ def cmi_distributional(
                 weight *= m
             rows = tuple((combo[2 * i][0], combo[2 * i + 1][0]) for i in range(n))
             total += weight * inner(Supersample(rows))
-        value = total
-        return CmiEstimate(value=value, method="exact")
+        return CmiEstimate(value=total, method="exact")
     if mode == "mc":
         if trials < MIN_MC_TRIALS:
             raise ValueError(f"Monte Carlo needs at least {MIN_MC_TRIALS} trials, got {trials}")

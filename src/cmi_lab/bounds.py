@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._seeding import derive_seed
-from .algkernel import Z_95, CmiEstimate, SupersampleSampler, sampling_table
+from .algkernel import Z_95, CmiEstimate, SupersampleSampler, mean_ci, sampling_table
 from .info_core import LOG2, FiniteDistribution, Nats
 
 LOG3 = math.log(3.0)
@@ -399,26 +399,44 @@ class GapEstimate:
         if abs(self.gap - (self.empirical_mean - self.population_mean)) > 1e-9:
             raise ValueError("gap must equal empirical_mean - population_mean")
 
+    #: serialized fields, in wire order; the fingerprint is not serialized
+    JSON_FIELDS = ("empirical_mean", "population_mean", "gap", "gap_squared", "ci_halfwidth", "trials", "seed")
+
     def to_json_obj(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "population_mean": self.population_mean,
-            "gap": self.gap,
-            "gap_squared": self.gap_squared,
-            "ci_halfwidth": self.ci_halfwidth,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return {k: getattr(self, k) for k in self.JSON_FIELDS}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "GapEstimate":
-        return cls(**{k: obj[k] for k in (
-            "empirical_mean", "population_mean", "gap", "gap_squared",
-            "ci_halfwidth", "trials", "seed",
-        )})
+        return cls(**{k: obj[k] for k in cls.JSON_FIELDS})
+
+    @classmethod
+    def from_samples(cls, emp: np.ndarray, pop: np.ndarray, seed: int) -> "GapEstimate":
+        """Summarize per-trial empirical and population values."""
+        gaps = emp - pop
+        gap, halfwidth = mean_ci(gaps)
+        return cls(
+            empirical_mean=float(emp.mean()),
+            population_mean=float(pop.mean()),
+            gap=gap,
+            gap_squared=float((gaps**2).mean()),
+            ci_halfwidth=halfwidth,
+            trials=gaps.size,
+            seed=seed,
+        )
 
 
 MIN_GAP_TRIALS = 100
+
+
+def _fitted_trials(
+    learner: Callable, population: Population, n: int, trials: int, seed: int, stream: str
+) -> Iterator[tuple[tuple, Any]]:
+    """Yield (dataset, hypothesis) per trial: trial t seeds its generator with
+    ``derive_seed(seed, stream, t)``, draws Z ~ D^n and runs the learner."""
+    for t in range(trials):
+        rng = np.random.default_rng(derive_seed(seed, stream, t))
+        dataset = population.draw(rng, n)
+        yield dataset, learner(dataset, rng)
 
 
 def estimate_gap(
@@ -442,23 +460,10 @@ def estimate_gap(
     loss_eval = getattr(loss, "eval", loss)
     emp = np.empty(trials)
     pop = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, "gap", t))
-        dataset = population.draw(rng, n)
-        hypothesis = learner(dataset, rng)
+    for t, (dataset, hypothesis) in enumerate(_fitted_trials(learner, population, n, trials, seed, "gap")):
         emp[t] = sum(loss_eval(hypothesis, z) for z in dataset) / n
         pop[t] = population.expected_loss(hypothesis, loss_eval)
-    gaps = emp - pop
-    sd = float(gaps.std(ddof=1)) if trials > 1 else 0.0
-    est = GapEstimate(
-        empirical_mean=float(emp.mean()),
-        population_mean=float(pop.mean()),
-        gap=float(gaps.mean()),
-        gap_squared=float((gaps**2).mean()),
-        ci_halfwidth=Z_95 * sd / math.sqrt(trials),
-        trials=trials,
-        seed=seed,
-    )
+    est = GapEstimate.from_samples(emp, pop, seed)
     if return_samples:
         return est, np.stack([emp, pop], axis=1)
     return est
@@ -664,41 +669,23 @@ def check_auroc(
     if not 0.0 < p < 1.0:
         raise ValueError(f"positive rate must lie strictly in (0,1), got {p!r}")
     pop_cache: dict[Any, float] = {}
-    violations = np.empty(trials)
-    gaps = np.empty(trials)
     emps = np.empty(trials)
     pops = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, "auroc", t))
-        dataset = population.draw(rng, n)
-        w = learner(dataset, rng)
+    for t, (dataset, w) in enumerate(_fitted_trials(learner, population, n, trials, seed, "auroc")):
         scores = [score_of(w, z) for z in dataset]
         labels = [1 if is_positive(z) else 0 for z in dataset]
-        emp = empirical_auroc(scores, labels)
         if w not in pop_cache:
             pop_cache[w] = population_auroc(
                 population.points, lambda z: score_of(w, z), is_positive
             )
-        popv = pop_cache[w]
-        emps[t], pops[t] = emp, popv
-        gaps[t] = emp - popv
-        violations[t] = 1.0 if abs(emp - popv) > epsilon else 0.0
-    freq = float(violations.mean())
+        emps[t], pops[t] = empirical_auroc(scores, labels), pop_cache[w]
+    gap_est = GapEstimate.from_samples(emps, pops, seed)
+    freq = float((np.abs(emps - pops) > epsilon).mean())
     freq_ci = Z_95 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
     c = cmi.value + cmi_ci_multiplier * cmi.ci_halfwidth
     rhs = min(1.0, bound_auroc(epsilon, p, n, c))
     if rhs_override is not None:
         rhs = float(rhs_override)
-    sd = float(gaps.std(ddof=1)) if trials > 1 else 0.0
-    gap_est = GapEstimate(
-        empirical_mean=float(emps.mean()),
-        population_mean=float(pops.mean()),
-        gap=float(gaps.mean()),
-        gap_squared=float((gaps**2).mean()),
-        ci_halfwidth=Z_95 * sd / math.sqrt(trials),
-        trials=trials,
-        seed=seed,
-    )
     return BoundReport(
         theorem_id="auroc",
         n=n,

@@ -6,8 +6,10 @@ computation for a single-experiment config; ``bound`` evaluates a bound
 formula directly from parameters.
 
 Exit codes: 0 success and every checked inequality satisfied; 2 config or
-component-resolution error; 3 exact mode infeasible at the requested size;
-4 at least one inequality unsatisfied.
+component-resolution error, including a theorem that does not apply to the
+experiment and bound parameters outside the formula's domain; 3 exact mode
+infeasible at the requested size; 4 at least one inequality unsatisfied;
+5 Blahut-Arimoto did not converge.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .algkernel import ExactEnumerationError
+from .algkernel import ConvergenceError, ExactEnumerationError
 from .bounds import (
     bound_agnostic,
     bound_auroc,
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNSATISFIED = 4
+EXIT_NO_CONVERGENCE = 5
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -130,28 +133,25 @@ def main(argv: list[str] | None = None) -> int:
             family = spec.get("family")
             if family not in _BOUND_FAMILIES:
                 raise ConfigError(f"unknown bound family {family!r}")
-            value = _BOUND_FAMILIES[family](spec.get("params", {}))
+            try:
+                value = _BOUND_FAMILIES[family](spec.get("params", {}))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bound family {family!r}: {exc}") from exc
             _write(json.dumps({"family": family, "value": value}) + "\n", args.out)
             return EXIT_OK
 
-        config = _single_config(args.config)
-        if args.command == "cmi":
-            payload = single_cmi(config, args.seed_override)
-        elif args.command == "ucmi":
-            payload = single_ucmi(config, args.seed_override, candidates=args.candidates)
-        elif args.command == "ecmi":
-            payload = single_ecmi(config, args.seed_override, candidates=args.candidates)
-        elif args.command == "gap":
-            payload = single_gap(config, args.seed_override)
-        elif args.command == "auroc":
-            payload = single_auroc(config, args.seed_override)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        single = {"cmi": single_cmi, "ucmi": single_ucmi, "ecmi": single_ecmi,
+                  "gap": single_gap, "auroc": single_auroc}[args.command]
+        extra = {"candidates": args.candidates} if args.command in ("ucmi", "ecmi") else {}
+        payload = single(_single_config(args.config), args.seed_override, **extra)
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     except ExactEnumerationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NO_CONVERGENCE
     except (ConfigError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -11,13 +11,15 @@ the seed-derivation rule hash(seed, experiment-id, trial).  Experiments run
 one after another in config order; each is a pure computation of its own
 config and seed, so no experiment's numbers depend on another's.  Exact
 mode is never silently downgraded to Monte Carlo -- an infeasible exact
-request is an error.  A config is validated in full (ids, trial floors)
-before any experiment runs.
+request is an error.  Each experiment's learner, population and loss are
+resolved once, at parse time (:meth:`ExperimentConfig.from_obj`), so a bad
+config fails with a :class:`ConfigError` before any experiment runs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,9 +50,11 @@ from .bounds import (
     LossSpec,
     Population,
     THEOREMS,
+    bound_auroc,
     check_auroc,
     check_theorem,
     estimate_gap,
+    positive_rate,
     with_fingerprint,
     zero_one_loss,
 )
@@ -58,13 +62,10 @@ from .info_core import LOG2, FiniteDistribution
 from .learners import (
     ConstantHypothesis,
     parity_kernel,
-    parity_learn,
     parity_population,
-    pathological_erm,
     pathological_kernel,
     pathological_selection_entropy,
     threshold_kernel,
-    threshold_learn,
     threshold_selection_entropy,
 )
 
@@ -83,10 +84,14 @@ class UnknownComponentError(ConfigError):
 
 @dataclass(frozen=True)
 class LearnerBundle:
-    fit: Callable[[tuple, np.random.Generator], Any]
+    """A registered learner.  Every bundled learner is deterministic, so
+    ``kernel.raw_map`` is its fit; ``accepts`` tests the feature x of a
+    labeled point (x, y)."""
+
     kernel: AlgorithmKernel
     inner_mi: Callable[[Supersample], float] | None = None
     score_of: Callable[[Any, Any], float] | None = None
+    accepts: Callable[[Any], bool] = lambda x: True
 
 
 def _threshold_score(w, z) -> float:
@@ -95,37 +100,27 @@ def _threshold_score(w, z) -> float:
     return float(x) if t == math.inf else float(x) - float(t)
 
 
-def _make_threshold(params: Mapping[str, Any]) -> LearnerBundle:
+def _threshold_bundle(kernel: AlgorithmKernel, inner_mi: Callable[[Supersample], float]) -> LearnerBundle:
+    """Threshold learners take real features and score by distance to the cut."""
     return LearnerBundle(
-        fit=lambda ds, rng: threshold_learn(ds),
-        kernel=threshold_kernel(),
-        inner_mi=threshold_selection_entropy,
+        kernel=kernel,
+        inner_mi=inner_mi,
         score_of=_threshold_score,
-    )
-
-
-def _make_pathological(params: Mapping[str, Any]) -> LearnerBundle:
-    g = int(params.get("grid_decimals", 2))
-    return LearnerBundle(
-        fit=lambda ds, rng: pathological_erm(ds, grid_decimals=g),
-        kernel=pathological_kernel(g),
-        inner_mi=pathological_selection_entropy,
-        score_of=_threshold_score,
+        accepts=lambda x: isinstance(x, (int, float)),
     )
 
 
 def _make_parity(params: Mapping[str, Any]) -> LearnerBundle:
     d = int(params["d"])
     return LearnerBundle(
-        fit=lambda ds, rng: parity_learn(ds, d),
         kernel=parity_kernel(d),
+        accepts=lambda x: isinstance(x, tuple) and len(x) == d,
     )
 
 
 def _make_constant(params: Mapping[str, Any]) -> LearnerBundle:
     hyp = ConstantHypothesis(int(params.get("bit", 0)))
     return LearnerBundle(
-        fit=lambda ds, rng: hyp,
         kernel=AlgorithmKernel.constant(hyp),
         inner_mi=lambda ss: 0.0,
         score_of=lambda w, z: 0.0,
@@ -133,8 +128,10 @@ def _make_constant(params: Mapping[str, Any]) -> LearnerBundle:
 
 
 LEARNERS: dict[str, Callable[[Mapping[str, Any]], LearnerBundle]] = {
-    "threshold": _make_threshold,
-    "pathological_threshold": _make_pathological,
+    "threshold": lambda params: _threshold_bundle(threshold_kernel(), threshold_selection_entropy),
+    "pathological_threshold": lambda params: _threshold_bundle(
+        pathological_kernel(int(params.get("grid_decimals", 2))), pathological_selection_entropy
+    ),
     "parity": _make_parity,
     "constant": _make_constant,
 }
@@ -182,14 +179,10 @@ def _make_finite(params: Mapping[str, Any]) -> FiniteDistribution:
     return FiniteDistribution(tuple(atoms))
 
 
-def _make_parity_uniform(params: Mapping[str, Any]) -> FiniteDistribution:
-    return parity_population(tuple(int(b) for b in params["w_star"]))
-
-
 DISTRIBUTIONS: dict[str, Callable[[Mapping[str, Any]], FiniteDistribution]] = {
     "grid_threshold": _make_grid_threshold,
     "finite": _make_finite,
-    "parity_uniform": _make_parity_uniform,
+    "parity_uniform": lambda params: parity_population(tuple(int(b) for b in params["w_star"])),
 }
 
 LOSSES: dict[str, Callable[[Mapping[str, Any]], LossSpec]] = {
@@ -208,73 +201,109 @@ class TheoremRequest:
     params: dict = field(default_factory=dict)
 
 
+def _resolve(registry: Mapping[str, Callable[[Mapping[str, Any]], Any]], kind: str, spec: Mapping[str, Any]) -> Any:
+    if spec["id"] not in registry:
+        raise UnknownComponentError(f"unknown {kind} id {spec['id']!r}")
+    return registry[spec["id"]](dict(spec.get("params", {})))
+
+
+def _is_positive(z) -> bool:
+    return z[1] == 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; ``bundle``, ``population`` and ``loss`` are resolved by ``from_obj``."""
+
     experiment_id: str
     learner_id: str
     learner_params: dict
     distribution_id: str
     distribution_params: dict
     loss_id: str
-    loss_params: dict
     n: int
     trials: int
     seed: int
     theorems: tuple[TheoremRequest, ...]
+    bundle: LearnerBundle = field(repr=False, compare=False)
+    population: Population = field(repr=False, compare=False)
+    loss: LossSpec = field(repr=False, compare=False)
     cmi_mode: str = "mc"
     cmi_trials: int = 500
 
     @classmethod
     def from_obj(cls, obj: Mapping[str, Any]) -> "ExperimentConfig":
+        """Parse one experiment and resolve its components; any failure,
+        including a bad component parameter, is a :class:`ConfigError`."""
         try:
-            learner = obj["learner"]
-            dist = obj["distribution"]
-            loss = obj.get("loss", {"id": "zero_one"})
-            seed = obj["seed"]
-            exp_id = obj["id"]
-            n = int(obj["n"])
-            trials = int(obj.get("trials", 1000))
+            return cls._parse(obj)
+        except ConfigError:
+            raise
         except KeyError as exc:
-            raise ConfigError(f"experiment missing required key: {exc}") from exc
-        theorems = []
-        for item in obj.get("theorems", ()):
-            if isinstance(item, str):
-                theorems.append(TheoremRequest(item))
-            else:
-                theorems.append(TheoremRequest(item["id"], dict(item.get("params", {}))))
+            raise ConfigError(f"{obj.get('id')!r}: missing required key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{obj.get('id')!r}: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, obj: Mapping[str, Any]) -> "ExperimentConfig":
+        learner = obj["learner"]
+        dist = obj["distribution"]
+        loss = obj.get("loss", {"id": "zero_one"})
+        seed = int(obj["seed"])
+        exp_id = str(obj["id"])
+        n = int(obj["n"])
+        if n < 1:
+            raise ConfigError(f"{exp_id!r}: n must be >= 1, got {n}")
+        theorems = tuple(
+            TheoremRequest(item) if isinstance(item, str)
+            else TheoremRequest(item["id"], dict(item.get("params", {})))
+            for item in obj.get("theorems", ())
+        )
         cmi = obj.get("cmi", {})
         mode = cmi.get("mode", "mc")
         if mode not in ("exact", "mc", "both"):
             raise ConfigError(f"unknown cmi mode {mode!r}")
+        bundle = _resolve(LEARNERS, "learner", learner)
+        points = _resolve(DISTRIBUTIONS, "distribution", dist)
+        for z in points.support():
+            if not (isinstance(z, tuple) and len(z) == 2 and bundle.accepts(z[0])):
+                raise ConfigError(
+                    f"{exp_id!r}: learner {learner['id']!r} cannot take point {z!r} "
+                    f"of distribution {dist['id']!r}"
+                )
         config = cls(
-            experiment_id=str(exp_id),
+            experiment_id=exp_id,
             learner_id=learner["id"],
             learner_params=dict(learner.get("params", {})),
             distribution_id=dist["id"],
             distribution_params=dict(dist.get("params", {})),
             loss_id=loss["id"],
-            loss_params=dict(loss.get("params", {})),
             n=n,
-            trials=trials,
-            seed=int(seed),
-            theorems=tuple(theorems),
+            trials=int(obj.get("trials", 1000)),
+            seed=seed,
+            theorems=theorems,
+            bundle=bundle,
+            population=Population.from_finite(points),
+            loss=_resolve(LOSSES, "loss", loss),
             cmi_mode=mode,
             cmi_trials=int(cmi.get("trials", 500)),
         )
-        config.validate_ids()
+        for req in theorems:
+            if req.theorem_id not in THEOREMS:
+                raise UnknownComponentError(f"unknown theorem id {req.theorem_id!r}")
+            if req.theorem_id == "auroc":
+                try:  # epsilon and the positive rate must lie in (0, 1)
+                    bound_auroc(float(req.params.get("epsilon", 0.3)), positive_rate(points, _is_positive), n, 0.0)
+                    if int(req.params.get("trials", 200)) < 1:
+                        raise ValueError("trials must be >= 1")
+                except ValueError as exc:
+                    raise ConfigError(f"{exp_id!r}: theorem 'auroc': {exc}") from exc
         config.validate_trials()
         return config
 
-    def validate_ids(self) -> None:
-        if self.learner_id not in LEARNERS:
-            raise UnknownComponentError(f"unknown learner id {self.learner_id!r}")
-        if self.distribution_id not in DISTRIBUTIONS:
-            raise UnknownComponentError(f"unknown distribution id {self.distribution_id!r}")
-        if self.loss_id not in LOSSES:
-            raise UnknownComponentError(f"unknown loss id {self.loss_id!r}")
-        for req in self.theorems:
-            if req.theorem_id not in THEOREMS:
-                raise UnknownComponentError(f"unknown theorem id {req.theorem_id!r}")
+    def fit(self, dataset: tuple, rng: np.random.Generator) -> Any:
+        """The learner in the form ``estimate_gap`` and ``check_auroc`` call."""
+        return self.bundle.kernel.raw_map(dataset)
 
     def validate_trials(self) -> None:
         """Reject trial counts below the estimators' floors before any compute."""
@@ -383,90 +412,85 @@ class SuiteReport:
         return buf.getvalue()
 
 
-def _compute_cmi(
-    config: ExperimentConfig,
-    bundle: LearnerBundle,
-    population: Population,
-    seed: int,
-) -> dict[str, CmiEstimate]:
-    sampler = population.supersample_sampler(config.n)
+def _compute_cmi(config: ExperimentConfig, seed: int) -> dict[str, CmiEstimate]:
+    sampler = config.population.supersample_sampler(config.n)
     out: dict[str, CmiEstimate] = {}
     modes = ("exact", "mc") if config.cmi_mode == "both" else (config.cmi_mode,)
     for mode in modes:
         if mode == "exact":
-            est = cmi_distributional(bundle.kernel, sampler, mode="exact")
+            est = cmi_distributional(config.bundle.kernel, sampler, mode="exact")
         else:
             est = cmi_distributional(
-                bundle.kernel,
+                config.bundle.kernel,
                 sampler,
                 mode="mc",
                 trials=config.cmi_trials,
                 seed=derive_seed(seed, config.experiment_id, "cmi"),
-                evaluator=bundle.inner_mi,
+                evaluator=config.bundle.inner_mi,
             )
         out[mode] = with_fingerprint(est, config.fingerprint)
     return out
 
 
+def _estimate_gap(config: ExperimentConfig, seed: int) -> GapEstimate:
+    return estimate_gap(
+        config.fit,
+        config.population,
+        config.loss,
+        config.n,
+        config.trials,
+        derive_seed(seed, config.experiment_id),
+    )
+
+
 def run_experiment(config: ExperimentConfig, seed_override: int | None = None) -> tuple[ExperimentResult, list[PropertyResult]]:
     seed = config.seed if seed_override is None else seed_override
-    bundle = LEARNERS[config.learner_id](config.learner_params)
-    dist = DISTRIBUTIONS[config.distribution_id](config.distribution_params)
-    population = Population.from_finite(dist)
-    loss = LOSSES[config.loss_id](config.loss_params)
-
-    cmi_estimates = _compute_cmi(config, bundle, population, seed)
+    cmi_estimates = _compute_cmi(config, seed)
     primary = cmi_estimates.get("exact") or cmi_estimates["mc"]
 
     gap: GapEstimate | None = None
     reports: list[BoundReport] = []
     for req in config.theorems:
-        params = dict(req.params)
-        cmi_for_check = primary
-        if "cmi_override" in params:
-            cmi_for_check = with_fingerprint(
-                CmiEstimate(value=float(params.pop("cmi_override")), method="exact"),
-                config.fingerprint,
-            )
-        rhs_override = params.pop("rhs_override", None)
-        if req.theorem_id == "auroc":
+        try:
+            params = dict(req.params)
+            cmi_for_check = primary
+            if "cmi_override" in params:
+                cmi_for_check = with_fingerprint(
+                    CmiEstimate(value=float(params.pop("cmi_override")), method="exact"),
+                    config.fingerprint,
+                )
+            rhs_override = params.pop("rhs_override", None)
+            if req.theorem_id == "auroc":
+                reports.append(
+                    check_auroc(
+                        learner=config.fit,
+                        population=config.population,
+                        score_of=config.bundle.score_of or (lambda w, z: 0.0),
+                        is_positive=_is_positive,
+                        epsilon=float(params.get("epsilon", 0.3)),
+                        n=config.n,
+                        trials=int(params.get("trials", 200)),
+                        seed=derive_seed(seed, config.experiment_id),
+                        cmi=cmi_for_check,
+                        rhs_override=rhs_override,
+                    )
+                )
+                continue
+            if gap is None:
+                gap = with_fingerprint(_estimate_gap(config, seed), config.fingerprint)
             reports.append(
-                check_auroc(
-                    learner=bundle.fit,
-                    population=population,
-                    score_of=bundle.score_of or (lambda w, z: 0.0),
-                    is_positive=lambda z: z[1] == 1,
-                    epsilon=float(params.get("epsilon", 0.3)),
-                    n=config.n,
-                    trials=int(params.get("trials", 200)),
-                    seed=derive_seed(seed, config.experiment_id),
-                    cmi=cmi_for_check,
+                check_theorem(
+                    req.theorem_id,
+                    cmi_for_check,
+                    gap,
+                    config.n,
+                    scale=float(params.get("scale", 1.0)),
                     rhs_override=rhs_override,
                 )
             )
-            continue
-        if gap is None:
-            gap = with_fingerprint(
-                estimate_gap(
-                    bundle.fit,
-                    population,
-                    loss,
-                    config.n,
-                    config.trials,
-                    derive_seed(seed, config.experiment_id),
-                ),
-                config.fingerprint,
-            )
-        reports.append(
-            check_theorem(
-                req.theorem_id,
-                cmi_for_check,
-                gap,
-                config.n,
-                scale=float(params.get("scale", 1.0)),
-                rhs_override=rhs_override,
-            )
-        )
+        except ValueError as exc:
+            # a theorem that does not apply to this experiment's data
+            raise ConfigError(f"{config.experiment_id!r}: theorem {req.theorem_id!r}: {exc}") from exc
 
     properties = [
         PropertyResult(
@@ -500,7 +524,11 @@ def load_config(source: str | Mapping[str, Any]) -> tuple[dict, list[ExperimentC
             obj = json.load(fh)
     if not isinstance(obj, dict) or "experiments" not in obj:
         raise ConfigError("config must be a JSON object with an 'experiments' list")
-    configs = [ExperimentConfig.from_obj(e) for e in obj["experiments"]]
+    configs = []
+    for i, entry in enumerate(obj["experiments"]):
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"experiment #{i} must be a JSON object, got {entry!r}")
+        configs.append(ExperimentConfig.from_obj(entry))
     seen: set[str] = set()
     for cfg in configs:
         if cfg.experiment_id in seen:
@@ -568,9 +596,7 @@ def bundled_suite_path() -> str:
 
 def single_cmi(config: ExperimentConfig, seed_override: int | None = None) -> dict:
     seed = config.seed if seed_override is None else seed_override
-    bundle = LEARNERS[config.learner_id](config.learner_params)
-    dist = DISTRIBUTIONS[config.distribution_id](config.distribution_params)
-    estimates = _compute_cmi(config, bundle, Population.from_finite(dist), seed)
+    estimates = _compute_cmi(config, seed)
     return {
         "id": config.experiment_id,
         "cmi": {mode: est.to_json_obj() for mode, est in estimates.items()},
@@ -578,8 +604,7 @@ def single_cmi(config: ExperimentConfig, seed_override: int | None = None) -> di
 
 
 def _draw_candidates(config: ExperimentConfig, seed: int, count: int) -> list[Supersample]:
-    dist = DISTRIBUTIONS[config.distribution_id](config.distribution_params)
-    sampler = Population.from_finite(dist).supersample_sampler(config.n)
+    sampler = config.population.supersample_sampler(config.n)
     return [sampler.draw(derive_seed(seed, config.experiment_id, "cand", i)) for i in range(count)]
 
 
@@ -587,9 +612,8 @@ def single_ucmi(
     config: ExperimentConfig, seed_override: int | None = None, candidates: int = 8
 ) -> dict:
     seed = config.seed if seed_override is None else seed_override
-    bundle = LEARNERS[config.learner_id](config.learner_params)
     values = [
-        ucmi_fixed(ss, bundle.kernel).value
+        ucmi_fixed(ss, config.bundle.kernel).value
         for ss in _draw_candidates(config, seed, candidates)
     ]
     return {"id": config.experiment_id, "ucmi_per_candidate_nats": values, "max_nats": max(values)}
@@ -599,12 +623,10 @@ def single_ecmi(
     config: ExperimentConfig, seed_override: int | None = None, candidates: int = 8
 ) -> dict:
     seed = config.seed if seed_override is None else seed_override
-    bundle = LEARNERS[config.learner_id](config.learner_params)
-    loss = LOSSES[config.loss_id](config.loss_params)
     rows = []
     for ss in _draw_candidates(config, seed, candidates):
-        e = ecmi_fixed(ss, bundle.kernel, loss)
-        c = cmi_exact_fixed(ss, bundle.kernel)
+        e = ecmi_fixed(ss, config.bundle.kernel, config.loss)
+        c = cmi_exact_fixed(ss, config.bundle.kernel)
         rows.append({"ecmi_nats": e.value, "cmi_nats": c.value})
     return {"id": config.experiment_id, "candidates": rows}
 
@@ -612,23 +634,10 @@ def single_ecmi(
 def single_gap(config: ExperimentConfig, seed_override: int | None = None) -> dict:
     config.check_gap_trials()
     seed = config.seed if seed_override is None else seed_override
-    bundle = LEARNERS[config.learner_id](config.learner_params)
-    dist = DISTRIBUTIONS[config.distribution_id](config.distribution_params)
-    loss = LOSSES[config.loss_id](config.loss_params)
-    est = estimate_gap(
-        bundle.fit,
-        Population.from_finite(dist),
-        loss,
-        config.n,
-        config.trials,
-        derive_seed(seed, config.experiment_id),
-    )
-    return {"id": config.experiment_id, "gap": est.to_json_obj()}
+    return {"id": config.experiment_id, "gap": _estimate_gap(config, seed).to_json_obj()}
 
 
 def single_auroc(config: ExperimentConfig, seed_override: int | None = None) -> dict:
-    import dataclasses
-
     requested = tuple(req for req in config.theorems if req.theorem_id == "auroc")
     narrowed = dataclasses.replace(
         config, theorems=requested or (TheoremRequest("auroc"),)

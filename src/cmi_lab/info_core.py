@@ -147,9 +147,6 @@ class FiniteDistribution:
             raise ValueError("not a point mass")
         return support[0]
 
-    def is_point_mass(self) -> bool:
-        return len(self.support()) == 1
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -284,6 +281,12 @@ def conditional_mutual_information(joint: JointPmf) -> Nats:
     return Nats(acc, slop=1e-10)
 
 
+def tv_distance(d1: FiniteDistribution, d2: FiniteDistribution) -> float:
+    """Total-variation distance: half the L1 distance of the mass tables."""
+    labels = set(d1.labels()) | set(d2.labels())
+    return 0.5 * sum(abs(d1.mass(lab) - d2.mass(lab)) for lab in labels)
+
+
 def jsd_tv(p0: FiniteDistribution, p1: FiniteDistribution) -> tuple[Nats, float]:
     """Jensen-Shannon divergence and total-variation distance of two tables.
 
@@ -292,8 +295,7 @@ def jsd_tv(p0: FiniteDistribution, p1: FiniteDistribution) -> tuple[Nats, float]
     """
     mid = FiniteDistribution.mixture([p0, p1], [0.5, 0.5])
     jsd = 0.5 * float(kl(p0, mid)) + 0.5 * float(kl(p1, mid))
-    labels = set(p0.labels()) | set(p1.labels())
-    tv = 0.5 * sum(abs(p0.mass(lab) - p1.mass(lab)) for lab in labels)
+    tv = tv_distance(p0, p1)
     if jsd > tv + 1e-12:
         raise RuntimeError(f"JSD {jsd!r} exceeded TV {tv!r}: numerical fault")
     return Nats(jsd), tv

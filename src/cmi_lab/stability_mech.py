@@ -42,7 +42,7 @@ from .algkernel import (
     selected_datasets,
     ucmi_fixed,
 )
-from .info_core import LOG2, FiniteDistribution, Nats
+from .info_core import LOG2, FiniteDistribution, Nats, tv_distance
 
 #: output symbol of the TV lottery when it reveals nothing.
 BOTTOM = "BOT"
@@ -221,11 +221,6 @@ def tv_lottery(delta: float, n: int) -> AlgorithmKernel:
         name=f"tv-lottery(delta={delta})",
         certificate=StabilityCertificate(notion="TV", parameter=delta, n=n),
     )
-
-
-def tv_distance(d1: FiniteDistribution, d2: FiniteDistribution) -> float:
-    labels = set(d1.labels()) | set(d2.labels())
-    return 0.5 * sum(abs(d1.mass(lab) - d2.mass(lab)) for lab in labels)
 
 
 def max_neighbor_tv(

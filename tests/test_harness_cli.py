@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
-from cmi_lab import cli
+from cmi_lab import cli, harness
+from cmi_lab.algkernel import ConvergenceError
 from cmi_lab._seeding import derive_seed
 from cmi_lab.harness import (
     ConfigError,
@@ -158,22 +160,72 @@ class TestCli:
         fal.write_text(json.dumps(falsified))
         assert cli.main(["suite", "--config", str(fal), "--out", str(out)]) == 4
 
-    def test_config_errors_exit_2_before_compute(self, tmp_path):
+    def test_config_errors_exit_2_before_compute(self, tmp_path, monkeypatch, capsys):
         exp = small_config()["experiments"][0]
+        grid = {"id": "grid_threshold", "params": {"noise": 0.25}}
+        mc = {"mode": "mc", "trials": 20}
         cases = {
             "duplicate-ids": {"experiments": [exp, {**exp, "seed": 9}]},
             "gap-trials": small_config(trials=99),
             "mc-trials": small_config(cmi={"mode": "mc", "trials": 9}),
             "both-trials": small_config(cmi={"mode": "both", "trials": 9}),
+            "noise-not-a-number": small_config(
+                learner={"id": "threshold"},
+                distribution={"id": "grid_threshold", "params": {"noise": "x"}},
+            ),
+            "masses-sum-1.4": small_config(
+                distribution={"id": "finite", "params": {"atoms": [[[0.0, 0], 0.7], [[1.0, 1], 0.7]]}}
+            ),
+            "n-zero": small_config(n=0),
+            "n-negative": small_config(n=-3),
+            "non-object-experiment": {"experiments": [3]},
+            "parity-feature-length": small_config(
+                learner={"id": "parity", "params": {"d": 2}},
+                distribution={"id": "parity_uniform", "params": {"w_star": [1, 0, 1]}},
+                cmi=mc,
+            ),
+            "auroc-epsilon": small_config(
+                learner={"id": "threshold"},
+                distribution={"id": "grid_threshold"},
+                cmi=mc,
+                theorems=[{"id": "auroc", "params": {"epsilon": 2.0}}],
+            ),
+            "realizable-zero-noisy": small_config(
+                learner={"id": "threshold"}, distribution=grid, n=20, cmi=mc,
+                theorems=["realizable-zero"],
+            ),
         }
+        # applicability shows only once the gap is estimated
+        needs_data = {"realizable-zero-noisy"}
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the config was rejected")
+
         for name, cfg in cases.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
-            assert cli.main(["suite", "--config", str(path)]) == 2, name
+            with monkeypatch.context() as patch:
+                if name not in needs_data:
+                    patch.setattr(harness, "cmi_distributional", no_compute)
+                    patch.setattr(harness, "estimate_gap", no_compute)
+                assert cli.main(["suite", "--config", str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert "'tiny'" in err and "'realizable-zero'" in err
         # the gap command estimates a gap whatever theorems are listed
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(small_config(trials=99, theorems=["auroc"])))
         assert cli.main(["gap", "--config", str(path)]) == 2
+
+    def test_non_convergence_exits_5(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("bracket did not close", (0.0, 1.0))
+
+        monkeypatch.setattr(harness, "ucmi_fixed", fail)
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(small_config()))
+        assert cli.main(["ucmi", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == "error: bracket did not close\n"
 
     def test_missing_config_is_config_error(self):
         assert cli.main(["suite", "--config", "/no/such/file.json"]) == 2
@@ -210,6 +262,9 @@ class TestBundledSuiteCli:
         )
         assert code == 0
         assert out.read_text().count("\n") >= 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ec6664a107ddca299f7f055aadd1c715f69adc71034ed370494428212eb735bb"
+        )
 
 
 class TestBoundFamilies:
@@ -230,6 +285,11 @@ class TestBoundFamilies:
             assert out["family"] == spec["family"] and out["value"] >= 0.0
 
     def test_unknown_family_is_config_error(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps({"family": "made-up", "params": {}}))
-        assert cli.main(["bound", "--config", str(path)]) == 2
+        for spec in (
+            {"family": "made-up", "params": {}},
+            {"family": "auroc", "params": {"epsilon": 2.0, "p": 0.5, "n": 10, "cmi": 1.0}},
+            {"family": "agnostic", "params": {"kind": "nope", "cmi": 1.0, "n": 10}},
+        ):
+            path = tmp_path / "b.json"
+            path.write_text(json.dumps(spec))
+            assert cli.main(["bound", "--config", str(path)]) == 2, spec
