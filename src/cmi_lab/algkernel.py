@@ -276,34 +276,25 @@ def sampling_table(dist: FiniteDistribution) -> tuple[tuple[Any, ...], np.ndarra
 class SupersampleSampler:
     """Draws supersamples distributed as D^{n x 2} from a derived seed.
 
-    When ``point_distribution`` is set, D has known finite support and exact
-    full enumeration over supp(D)^{2n} is available to the engines.
+    D is a finite point distribution, so exact full enumeration over
+    supp(D)^{2n} is also available to the engines.
     """
 
     n: int
-    draw_fn: Callable[[int], Supersample]
-    point_distribution: FiniteDistribution | None = None
+    point_distribution: FiniteDistribution
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_table", sampling_table(self.point_distribution))
 
     def draw(self, seed: int) -> Supersample:
-        ss = self.draw_fn(seed)
-        if ss.n != self.n:
-            raise ValueError(f"draw produced {ss.n} rows, expected {self.n}")
-        return ss
+        labels, masses = self._table  # type: ignore[attr-defined]
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(labels), size=(self.n, 2), p=masses)
+        return Supersample(tuple((labels[i], labels[j]) for i, j in idx))
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution, n: int) -> "SupersampleSampler":
-        labels, masses = sampling_table(dist)
-
-        def draw(seed: int) -> Supersample:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(labels), size=(n, 2), p=masses)
-            return Supersample(tuple((labels[i], labels[j]) for i, j in idx))
-
-        return cls(n=n, draw_fn=draw, point_distribution=dist)
-
-    @classmethod
-    def from_draw_fn(cls, fn: Callable[[int], Supersample], n: int) -> "SupersampleSampler":
-        return cls(n=n, draw_fn=fn, point_distribution=None)
+        return cls(n=n, point_distribution=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +470,9 @@ def cmi_distributional(
     per-supersample selection information.
 
     ``mode="exact"`` enumerates every supersample in supp(D)^{2n} (available
-    only when the sampler carries a finite point distribution and the term
-    count fits the cap).  ``mode="mc"`` averages exact inner values over
-    sampled supersamples and reports a 95% confidence interval.
+    only when the term count fits the cap).  ``mode="mc"`` averages exact
+    inner values over sampled supersamples and reports a 95% confidence
+    interval.
 
     ``evaluator`` optionally replaces the generic exact inner engine with a
     structure-specific exact evaluator (it must return the same number); the
@@ -490,12 +481,7 @@ def cmi_distributional(
     inner = evaluator or (lambda ss: float(cmi_exact_fixed(ss, kernel).value))
     n = sampler.n
     if mode == "exact":
-        dist = sampler.point_distribution
-        if dist is None:
-            raise ExactEnumerationError(
-                "exact distributional CMI needs a finite point distribution"
-            )
-        support = [(lab, m) for lab, m in dist.atoms if m > 0.0]
+        support = [(lab, m) for lab, m in sampler.point_distribution.atoms if m > 0.0]
         terms = len(support) ** (2 * n)
         if terms > ENUMERATION_CAP:
             raise ExactEnumerationError(

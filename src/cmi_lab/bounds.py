@@ -5,7 +5,12 @@ value (``bound_*`` functions); the other side is a seeded Monte-Carlo
 estimate of the actual generalization gap (``estimate_gap``) whose only
 noise source is the draw of the dataset -- population losses are always
 computed exactly, either by summing a finite support or via a closed form.
-``check_theorem`` pairs the two into a :class:`BoundReport`.
+
+``THEOREMS`` is the one place where a checked theorem is defined: its row
+gives the right-hand side, the :class:`GapEstimate` statistic it bounds and
+the request parameters it reads with their defaults.  ``check_theorem``
+looks a gap theorem up there; ``check_auroc`` runs the AUROC pipeline; both
+build their :class:`BoundReport` by one pass rule.
 
 The squared-error bound is an infimum over a free parameter u in (0,1); it
 is minimized numerically by golden-section search.  Substituting u = 2/3
@@ -16,7 +21,8 @@ never exceeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,20 +45,17 @@ class UnknownTheoremError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss with the metadata that drives bound selection.
+    """A loss function ``eval(w, z)`` with its family.
 
     ``kind`` is one of ``bounded01`` (values in [0,1]), ``delta-bounded``
     (|l(w,z1)-l(w,z2)| <= delta(z1,z2)), ``nonlinear`` (dataset-level loss
     with per-coordinate sensitivities), or ``normalized``
-    (|l(w,z1)-l(w,z2)| <= delta(z1,z2)*psi(w)).
+    (|l(w,z1)-l(w,z2)| <= delta(z1,z2)*psi(w)).  ``uniform_stability`` is
+    the stability constant ``ecmi_gaussian_bound`` reads.
     """
 
     eval: Callable[[Any, Any], float]
     kind: str
-    delta: Callable[[Any, Any], float] | None = None
-    delta_i: tuple[float, ...] | None = None
-    psi: Callable[[Any], float] | None = None
-    range: tuple[float, float] | None = None
     uniform_stability: float | None = None
 
     def __post_init__(self) -> None:
@@ -65,7 +68,6 @@ def zero_one_loss() -> LossSpec:
     return LossSpec(
         eval=lambda w, z: 0.0 if w.predict(z[0]) == z[1] else 1.0,
         kind="bounded01",
-        range=(0.0, 1.0),
     )
 
 
@@ -474,50 +476,94 @@ def estimate_gap(
 # ---------------------------------------------------------------------------
 
 
+#: a Monte-Carlo CMI estimate enters every right-hand side raised by this
+#: many CI halfwidths; an exact estimate has halfwidth 0
+CMI_CI_MULTIPLIER = 3.0
+
+#: request parameters every theorem reads: a known CMI cap to use instead of
+#: the run's estimate, and a testing knob that replaces the right-hand side
+OVERRIDES = ("cmi_override", "rhs_override")
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
+    """One registered bound.
+
+    ``rhs(cmi, n, x, **params)`` is the right-hand side at a CMI value, where
+    ``x`` is the mean empirical loss for a gap theorem and the population's
+    positive rate for ``auroc``.  ``lhs`` is the :class:`GapEstimate`
+    statistic a gap theorem bounds; ``auroc`` has none, because its own
+    pipeline (:func:`check_auroc`) measures a violation frequency.
+    ``params`` maps each request parameter the theorem reads, besides
+    ``OVERRIDES``, to its default; an integer default is a trial count.
+    """
+
     theorem_id: str
     description: str
-    lhs_kind: str  # abs_mean_gap | mean_squared_gap | population_mean | violation_frequency
+    rhs: Callable[..., float]
+    lhs: Callable[[GapEstimate], float] | None = None
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def resolve(self, params: Mapping[str, Any], n: int, x: float) -> dict[str, float]:
+        """A request's parameters with the defaults filled in, each coerced
+        to its default's type.  Raises ``ValueError`` for a parameter the
+        theorem does not read, a trial count below 1, or a value outside the
+        formula's domain (the right-hand side is evaluated once at n, x)."""
+        unread = sorted(set(params) - set(self.params) - set(OVERRIDES))
+        if unread:
+            raise ValueError(f"parameter {unread[0]!r} is not read; it reads {[*self.params, *OVERRIDES]}")
+        out = {k: type(d)(params.get(k, d)) for k, d in self.params.items()}
+        if any(isinstance(d, int) and out[k] < 1 for k, d in self.params.items()):
+            raise ValueError(f"trial counts must be >= 1, got {out!r}")
+        self.rhs(float(params.get("cmi_override", 0.0)), n, x, **out)
+        return out | {k: float(params[k]) for k in OVERRIDES if k in params}
+
+
+def _agnostic(kind: str, description: str, lhs: Callable[[GapEstimate], float]) -> TheoremSpec:
+    return TheoremSpec(
+        f"agnostic-{kind}", description, lambda c, n, emp, scale: bound_agnostic(kind, c, n, scale), lhs, {"scale": 1.0}
+    )
+
+
+def _realizable_zero(cmi: float, n: int, empirical_mean: float) -> float:
+    if abs(empirical_mean) > 1e-12:
+        raise ValueError("realizable-zero requires zero empirical loss; use realizable-general")
+    return bound_realizable(0.0, cmi, n)
+
+
+def _abs_gap(gap: GapEstimate) -> float:
+    return abs(gap.gap)
 
 
 THEOREMS: dict[str, TheoremSpec] = {
     spec.theorem_id: spec
     for spec in (
-        TheoremSpec(
-            "agnostic-expected",
-            "|E[emp - pop]| <= sqrt(2 * cmi * scale / n)",
-            "abs_mean_gap",
-        ),
-        TheoremSpec(
-            "agnostic-absolute",
-            "E|emp - pop| <= sqrt(2 * (cmi + log 2) * scale / n)",
-            "abs_mean_gap",
-        ),
-        TheoremSpec(
-            "agnostic-squared",
+        _agnostic("expected", "|E[emp - pop]| <= sqrt(2 * cmi * scale / n)", _abs_gap),
+        _agnostic("absolute", "E|emp - pop| <= sqrt(2 * (cmi + log 2) * scale / n)", _abs_gap),
+        _agnostic(
+            "squared",
             "E[(emp - pop)^2] <= inf_u (2*cmi - log(1-u)) * scale / (u*n)",
-            "mean_squared_gap",
+            attrgetter("gap_squared"),
         ),
-        TheoremSpec(
-            "agnostic-unbounded",
-            "|E[emp - pop]| <= sqrt(8 * cmi * scale / n), scale = E[sup_w l^2]",
-            "abs_mean_gap",
-        ),
+        _agnostic("unbounded", "|E[emp - pop]| <= sqrt(8 * cmi * scale / n), scale = E[sup_w l^2]", _abs_gap),
         TheoremSpec(
             "realizable-zero",
             "E[pop] <= cmi / (n log 2) when E[emp] = 0",
-            "population_mean",
+            _realizable_zero,
+            attrgetter("population_mean"),
         ),
         TheoremSpec(
             "realizable-general",
             "E[pop] <= 2 E[emp] + 3 cmi / n",
-            "population_mean",
+            lambda c, n, emp: bound_realizable(emp, c, n),
+            attrgetter("population_mean"),
         ),
         TheoremSpec(
             "auroc",
             "P(|emp AUROC - pop AUROC| > eps) <= min(1, (48*cmi+149)/(eps^2 p(1-p) n))",
-            "violation_frequency",
+            # ``trials`` sizes the pipeline, not the bound
+            lambda c, n, p, epsilon, trials: min(1.0, bound_auroc(epsilon, p, n, c)),
+            params={"epsilon": 0.3, "trials": 200},
         ),
     )
 }
@@ -581,6 +627,29 @@ class BoundReport:
         ]
 
 
+def _report(
+    theorem_id: str, cmi: CmiEstimate, n: int, rhs_at: Callable[[float], float],
+    lhs: float, lhs_ci: float, estimate: GapEstimate, rhs_override: float | None,
+) -> BoundReport:
+    """The one pass rule behind every check: with rhs the right-hand side at
+    the CMI value raised by ``CMI_CI_MULTIPLIER`` halfwidths, or
+    ``rhs_override`` when given, the check holds iff rhs >= lhs - lhs_ci."""
+    rhs = rhs_at(cmi.value + CMI_CI_MULTIPLIER * cmi.ci_halfwidth)
+    if rhs_override is not None:
+        rhs = float(rhs_override)
+    return BoundReport(
+        theorem_id=theorem_id,
+        n=n,
+        cmi_nats=cmi.value,
+        rhs=rhs,
+        lhs_value=lhs,
+        lhs_ci=lhs_ci,
+        satisfied=bool(rhs >= lhs - lhs_ci),
+        seed=estimate.seed,
+        lhs_estimate=estimate,
+    )
+
+
 def check_theorem(
     theorem_id: str,
     cmi: CmiEstimate,
@@ -588,60 +657,20 @@ def check_theorem(
     n: int,
     *,
     scale: float = 1.0,
-    cmi_ci_multiplier: float = 3.0,
     rhs_override: float | None = None,
 ) -> BoundReport:
-    """Fill a :class:`BoundReport` for a gap-based theorem.
+    """Fill a :class:`BoundReport` for a gap-based theorem of ``THEOREMS``.
 
-    The CMI input is inflated by ``cmi_ci_multiplier`` halfwidths when it is
-    a Monte-Carlo estimate (exact estimates have zero halfwidth), and the
-    check allows the gap estimate one CI halfwidth of slack:
-    satisfied iff rhs >= lhs - ci.
+    ``scale`` is read only by the theorems whose row lists it.
     """
-    if theorem_id not in THEOREMS:
-        raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
-    spec = THEOREMS[theorem_id]
-    if spec.lhs_kind == "violation_frequency":
-        raise UnknownTheoremError(
-            f"{theorem_id!r} needs its own pipeline (see check_auroc)"
-        )
-    if cmi.fingerprint is not None and gap.fingerprint is not None:
-        if cmi.fingerprint != gap.fingerprint:
-            raise ValueError(
-                f"mismatched experiment fingerprints: {cmi.fingerprint!r} vs {gap.fingerprint!r}"
-            )
-    c = cmi.value + cmi_ci_multiplier * cmi.ci_halfwidth
-    if theorem_id in ("agnostic-expected", "agnostic-absolute", "agnostic-squared", "agnostic-unbounded"):
-        kind = theorem_id.split("-", 1)[1]
-        rhs = bound_agnostic(kind, c, n, scale)
-    elif theorem_id == "realizable-zero":
-        if abs(gap.empirical_mean) > 1e-12:
-            raise ValueError(
-                "realizable-zero requires zero empirical loss; use realizable-general"
-            )
-        rhs = bound_realizable(0.0, c, n)
-    elif theorem_id == "realizable-general":
-        rhs = bound_realizable(gap.empirical_mean, c, n)
-    else:  # pragma: no cover - registry and branches are kept in sync
-        raise UnknownTheoremError(theorem_id)
-    if rhs_override is not None:
-        rhs = float(rhs_override)
-    lhs = {
-        "abs_mean_gap": abs(gap.gap),
-        "mean_squared_gap": gap.gap_squared,
-        "population_mean": gap.population_mean,
-    }[spec.lhs_kind]
-    return BoundReport(
-        theorem_id=theorem_id,
-        n=n,
-        cmi_nats=cmi.value,
-        rhs=rhs,
-        lhs_value=lhs,
-        lhs_ci=gap.ci_halfwidth,
-        satisfied=bool(rhs >= lhs - gap.ci_halfwidth),
-        seed=gap.seed,
-        lhs_estimate=gap,
-    )
+    spec = THEOREMS.get(theorem_id)
+    if spec is None or spec.lhs is None:
+        raise UnknownTheoremError(f"{theorem_id!r} is not a gap theorem of THEOREMS (auroc: see check_auroc)")
+    if None not in (cmi.fingerprint, gap.fingerprint) and cmi.fingerprint != gap.fingerprint:
+        raise ValueError(f"mismatched experiment fingerprints: {cmi.fingerprint!r} vs {gap.fingerprint!r}")
+    params = {"scale": scale} if "scale" in spec.params else {}
+    rhs_at = lambda c: spec.rhs(c, n, gap.empirical_mean, **params)
+    return _report(theorem_id, cmi, n, rhs_at, spec.lhs(gap), gap.ci_halfwidth, gap, rhs_override)
 
 
 def check_auroc(
@@ -655,19 +684,15 @@ def check_auroc(
     seed: int,
     cmi: CmiEstimate,
     *,
-    cmi_ci_multiplier: float = 3.0,
     rhs_override: float | None = None,
 ) -> BoundReport:
     """Monte-Carlo check of the AUROC generalization bound.
 
     Per trial: draw Z, learn, compare empirical AUROC on Z with the exact
     population AUROC of the learned scorer; the LHS is the frequency of
-    deviations above ``epsilon`` and the RHS is the failure bound clamped
-    at 1.
+    deviations above ``epsilon`` and the RHS is the ``auroc`` row of
+    ``THEOREMS``.
     """
-    p = positive_rate(population.points, is_positive)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"positive rate must lie strictly in (0,1), got {p!r}")
     pop_cache: dict[Any, float] = {}
     emps = np.empty(trials)
     pops = np.empty(trials)
@@ -679,24 +704,11 @@ def check_auroc(
                 population.points, lambda z: score_of(w, z), is_positive
             )
         emps[t], pops[t] = empirical_auroc(scores, labels), pop_cache[w]
-    gap_est = GapEstimate.from_samples(emps, pops, seed)
     freq = float((np.abs(emps - pops) > epsilon).mean())
     freq_ci = Z_95 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
-    c = cmi.value + cmi_ci_multiplier * cmi.ci_halfwidth
-    rhs = min(1.0, bound_auroc(epsilon, p, n, c))
-    if rhs_override is not None:
-        rhs = float(rhs_override)
-    return BoundReport(
-        theorem_id="auroc",
-        n=n,
-        cmi_nats=cmi.value,
-        rhs=rhs,
-        lhs_value=freq,
-        lhs_ci=freq_ci,
-        satisfied=bool(rhs >= freq - freq_ci),
-        seed=seed,
-        lhs_estimate=gap_est,
-    )
+    p = positive_rate(population.points, is_positive)
+    rhs_at = lambda c: THEOREMS["auroc"].rhs(c, n, p, epsilon=epsilon, trials=trials)
+    return _report("auroc", cmi, n, rhs_at, freq, freq_ci, GapEstimate.from_samples(emps, pops, seed), rhs_override)
 
 
 def with_fingerprint(est, fingerprint: str):

@@ -11,7 +11,8 @@ the seed-derivation rule hash(seed, experiment-id, trial).  Experiments run
 one after another in config order; each is a pure computation of its own
 config and seed, so no experiment's numbers depend on another's.  Exact
 mode is never silently downgraded to Monte Carlo -- an infeasible exact
-request is an error.  Each experiment's learner, population and loss are
+request is an error.  Each experiment's learner, population, loss and
+theorem requests (checked against their ``bounds.THEOREMS`` rows) are
 resolved once, at parse time (:meth:`ExperimentConfig.from_obj`), so a bad
 config fails with a :class:`ConfigError` before any experiment runs.
 """
@@ -50,7 +51,6 @@ from .bounds import (
     LossSpec,
     Population,
     THEOREMS,
-    bound_auroc,
     check_auroc,
     check_theorem,
     estimate_gap,
@@ -61,6 +61,7 @@ from .bounds import (
 from .info_core import LOG2, FiniteDistribution
 from .learners import (
     ConstantHypothesis,
+    on_grid,
     parity_kernel,
     parity_population,
     pathological_kernel,
@@ -85,12 +86,12 @@ class UnknownComponentError(ConfigError):
 @dataclass(frozen=True)
 class LearnerBundle:
     """A registered learner.  Every bundled learner is deterministic, so
-    ``kernel.raw_map`` is its fit; ``accepts`` tests the feature x of a
-    labeled point (x, y)."""
+    ``kernel.raw_map`` is its fit; ``score_of`` ranks points for AUROC (all
+    equal by default); ``accepts`` tests the feature x of a point (x, y)."""
 
     kernel: AlgorithmKernel
     inner_mi: Callable[[Supersample], float] | None = None
-    score_of: Callable[[Any, Any], float] | None = None
+    score_of: Callable[[Any, Any], float] = lambda w, z: 0.0
     accepts: Callable[[Any], bool] = lambda x: True
 
 
@@ -110,6 +111,13 @@ def _threshold_bundle(kernel: AlgorithmKernel, inner_mi: Callable[[Supersample],
     )
 
 
+def _make_pathological(params: Mapping[str, Any]) -> LearnerBundle:
+    """The threshold bundle, restricted to features on the encoder's grid."""
+    g = int(params.get("grid_decimals", 2))
+    bundle = _threshold_bundle(pathological_kernel(g), pathological_selection_entropy)
+    return dataclasses.replace(bundle, accepts=lambda x: bundle.accepts(x) and on_grid(x, g))
+
+
 def _make_parity(params: Mapping[str, Any]) -> LearnerBundle:
     d = int(params["d"])
     return LearnerBundle(
@@ -123,15 +131,12 @@ def _make_constant(params: Mapping[str, Any]) -> LearnerBundle:
     return LearnerBundle(
         kernel=AlgorithmKernel.constant(hyp),
         inner_mi=lambda ss: 0.0,
-        score_of=lambda w, z: 0.0,
     )
 
 
 LEARNERS: dict[str, Callable[[Mapping[str, Any]], LearnerBundle]] = {
     "threshold": lambda params: _threshold_bundle(threshold_kernel(), threshold_selection_entropy),
-    "pathological_threshold": lambda params: _threshold_bundle(
-        pathological_kernel(int(params.get("grid_decimals", 2))), pathological_selection_entropy
-    ),
+    "pathological_threshold": _make_pathological,
     "parity": _make_parity,
     "constant": _make_constant,
 }
@@ -171,12 +176,13 @@ def _make_grid_threshold(params: Mapping[str, Any]) -> FiniteDistribution:
     )
 
 
+def _tuples(value: Any) -> Any:
+    """JSON lists as (nested) tuples, so points and vector features hash."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def _make_finite(params: Mapping[str, Any]) -> FiniteDistribution:
-    atoms = []
-    for point, mass in params["atoms"]:
-        label = tuple(point) if isinstance(point, list) else point
-        atoms.append((label, float(mass)))
-    return FiniteDistribution(tuple(atoms))
+    return FiniteDistribution(tuple((_tuples(point), float(mass)) for point, mass in params["atoms"]))
 
 
 DISTRIBUTIONS: dict[str, Callable[[Mapping[str, Any]], FiniteDistribution]] = {
@@ -197,6 +203,9 @@ LOSSES: dict[str, Callable[[Mapping[str, Any]], LossSpec]] = {
 
 @dataclass(frozen=True)
 class TheoremRequest:
+    """A theorem check resolved against its ``THEOREMS`` row: ``params`` has every
+    parameter the row reads, defaults filled in, and the overrides given."""
+
     theorem_id: str
     params: dict = field(default_factory=dict)
 
@@ -209,6 +218,19 @@ def _resolve(registry: Mapping[str, Callable[[Mapping[str, Any]], Any]], kind: s
 
 def _is_positive(z) -> bool:
     return z[1] == 1
+
+
+def _theorem_request(exp_id: str, item: Any, n: int, points: FiniteDistribution) -> TheoremRequest:
+    """Check one theorem request of an experiment against its ``THEOREMS`` row."""
+    theorem_id, params = (item, {}) if isinstance(item, str) else (item["id"], item.get("params", {}))
+    if theorem_id not in THEOREMS:
+        raise UnknownComponentError(f"unknown theorem id {theorem_id!r}")
+    spec = THEOREMS[theorem_id]
+    try:  # a gap theorem's domain includes zero empirical loss; auroc reads the positive rate
+        x = 0.0 if spec.lhs is not None else positive_rate(points, _is_positive)
+        return TheoremRequest(theorem_id, spec.resolve(dict(params), n, x))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{exp_id!r}: theorem {theorem_id!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -254,11 +276,6 @@ class ExperimentConfig:
         n = int(obj["n"])
         if n < 1:
             raise ConfigError(f"{exp_id!r}: n must be >= 1, got {n}")
-        theorems = tuple(
-            TheoremRequest(item) if isinstance(item, str)
-            else TheoremRequest(item["id"], dict(item.get("params", {})))
-            for item in obj.get("theorems", ())
-        )
         cmi = obj.get("cmi", {})
         mode = cmi.get("mode", "mc")
         if mode not in ("exact", "mc", "both"):
@@ -271,6 +288,7 @@ class ExperimentConfig:
                     f"{exp_id!r}: learner {learner['id']!r} cannot take point {z!r} "
                     f"of distribution {dist['id']!r}"
                 )
+        theorems = tuple(_theorem_request(exp_id, item, n, points) for item in obj.get("theorems", ()))
         config = cls(
             experiment_id=exp_id,
             learner_id=learner["id"],
@@ -288,16 +306,6 @@ class ExperimentConfig:
             cmi_mode=mode,
             cmi_trials=int(cmi.get("trials", 500)),
         )
-        for req in theorems:
-            if req.theorem_id not in THEOREMS:
-                raise UnknownComponentError(f"unknown theorem id {req.theorem_id!r}")
-            if req.theorem_id == "auroc":
-                try:  # epsilon and the positive rate must lie in (0, 1)
-                    bound_auroc(float(req.params.get("epsilon", 0.3)), positive_rate(points, _is_positive), n, 0.0)
-                    if int(req.params.get("trials", 200)) < 1:
-                        raise ValueError("trials must be >= 1")
-                except ValueError as exc:
-                    raise ConfigError(f"{exp_id!r}: theorem 'auroc': {exc}") from exc
         config.validate_trials()
         return config
 
@@ -307,7 +315,7 @@ class ExperimentConfig:
 
     def validate_trials(self) -> None:
         """Reject trial counts below the estimators' floors before any compute."""
-        if any(req.theorem_id != "auroc" for req in self.theorems):
+        if any(THEOREMS[req.theorem_id].lhs is not None for req in self.theorems):
             self.check_gap_trials()
         if self.cmi_mode != "exact" and self.cmi_trials < MIN_MC_TRIALS:
             raise ConfigError(f"{self.experiment_id!r}: cmi trials {self.cmi_trials} < {MIN_MC_TRIALS}")
@@ -451,43 +459,28 @@ def run_experiment(config: ExperimentConfig, seed_override: int | None = None) -
     gap: GapEstimate | None = None
     reports: list[BoundReport] = []
     for req in config.theorems:
+        params = dict(req.params)
+        cmi = primary
+        if "cmi_override" in params:
+            cmi = with_fingerprint(CmiEstimate(value=params.pop("cmi_override"), method="exact"), config.fingerprint)
         try:
-            params = dict(req.params)
-            cmi_for_check = primary
-            if "cmi_override" in params:
-                cmi_for_check = with_fingerprint(
-                    CmiEstimate(value=float(params.pop("cmi_override")), method="exact"),
-                    config.fingerprint,
-                )
-            rhs_override = params.pop("rhs_override", None)
-            if req.theorem_id == "auroc":
+            if THEOREMS[req.theorem_id].lhs is None:
                 reports.append(
                     check_auroc(
                         learner=config.fit,
                         population=config.population,
-                        score_of=config.bundle.score_of or (lambda w, z: 0.0),
+                        score_of=config.bundle.score_of,
                         is_positive=_is_positive,
-                        epsilon=float(params.get("epsilon", 0.3)),
                         n=config.n,
-                        trials=int(params.get("trials", 200)),
                         seed=derive_seed(seed, config.experiment_id),
-                        cmi=cmi_for_check,
-                        rhs_override=rhs_override,
+                        cmi=cmi,
+                        **params,
                     )
                 )
                 continue
             if gap is None:
                 gap = with_fingerprint(_estimate_gap(config, seed), config.fingerprint)
-            reports.append(
-                check_theorem(
-                    req.theorem_id,
-                    cmi_for_check,
-                    gap,
-                    config.n,
-                    scale=float(params.get("scale", 1.0)),
-                    rhs_override=rhs_override,
-                )
-            )
+            reports.append(check_theorem(req.theorem_id, cmi, gap, config.n, **params))
         except ValueError as exc:
             # a theorem that does not apply to this experiment's data
             raise ConfigError(f"{config.experiment_id!r}: theorem {req.theorem_id!r}: {exc}") from exc
@@ -638,9 +631,8 @@ def single_gap(config: ExperimentConfig, seed_override: int | None = None) -> di
 
 
 def single_auroc(config: ExperimentConfig, seed_override: int | None = None) -> dict:
-    requested = tuple(req for req in config.theorems if req.theorem_id == "auroc")
-    narrowed = dataclasses.replace(
-        config, theorems=requested or (TheoremRequest("auroc"),)
+    requested = tuple(req for req in config.theorems if req.theorem_id == "auroc") or (
+        _theorem_request(config.experiment_id, "auroc", config.n, config.population.points),
     )
-    result, _ = run_experiment(narrowed, seed_override=seed_override)
+    result, _ = run_experiment(dataclasses.replace(config, theorems=requested), seed_override=seed_override)
     return result.to_json_obj()

@@ -424,6 +424,15 @@ def _grid_int(x: Any, grid_decimals: int) -> int:
     return xi
 
 
+def on_grid(x: Any, grid_decimals: int) -> bool:
+    """Whether ``pathological_erm`` can encode the feature ``x``."""
+    try:
+        _grid_int(x, grid_decimals)
+    except ValueError:
+        return False
+    return True
+
+
 def _encode_payload(dataset: Dataset, grid_decimals: int) -> tuple[int, int]:
     if len(dataset) > _MAX_POINTS:
         raise ValueError(f"can encode at most {_MAX_POINTS} points")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmi_lab.algkernel import (
     AlgorithmKernel,
@@ -246,13 +247,6 @@ class TestCmiDistributional:
             h = -sum(c / 4 * math.log(c / 4) for c in counts.values())
             total += weight * h
         assert est.value == pytest.approx(total, abs=1e-12)
-
-    def test_exact_mode_needs_finite_support(self):
-        sampler = SupersampleSampler.from_draw_fn(
-            lambda seed: distinct_supersample(2), n=2
-        )
-        with pytest.raises(ExactEnumerationError):
-            cmi_distributional(AlgorithmKernel.constant(), sampler, mode="exact")
 
     def test_exact_cap_enforced(self):
         dist = FiniteDistribution.uniform(list(range(10)))
@@ -571,3 +565,46 @@ class TestThresholdSixteenPointDomain:
             threshold_kernel(), sampler, mode="mc", trials=400, seed=16
         )
         assert est.value <= 2.0
+
+
+@st.composite
+def table_kernels(draw):
+    """A supersample with n <= 4 rows over a few (possibly repeated) points, a
+    kernel that maps each selected dataset to a drawn row of output weights
+    (one-hot rows for a deterministic kernel), and a loss table."""
+    n = draw(st.integers(1, 4))
+    points = st.integers(0, 3)
+    ss = Supersample(tuple((draw(points), draw(points)) for _ in range(n)))
+    width = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(any)
+    rows = draw(st.lists(weights, min_size=2**n, max_size=2**n))
+    table = {}
+    for ds in selected_datasets(ss):
+        table.setdefault(ds, rows[len(table)])
+    universe = tuple(range(width))
+    if draw(st.booleans()):
+        kernel = AlgorithmKernel.deterministic_map(
+            lambda ds: int(np.argmax(table[ds])), output_universe=universe
+        )
+    else:
+        kernel = AlgorithmKernel(
+            evaluate=lambda ds: FiniteDistribution(
+                tuple((w, m / sum(table[ds])) for w, m in enumerate(table[ds]) if m)
+            ),
+            output_universe=universe,
+        )
+    losses = {(w, z): draw(st.integers(0, 4)) / 4.0 for w in universe for z in range(4)}
+    return ss, kernel, width, lambda w, z: losses[(w, z)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table_kernels())
+def test_cmi_variants_are_ordered(case):
+    ss, kernel, width, loss = case
+    ecmi = ecmi_fixed(ss, kernel, loss).value
+    cmi = cmi_exact_fixed(ss, kernel).value
+    ucmi = ucmi_fixed(ss, kernel).value
+    cap = min(ss.n * LOG2, math.log(width))
+    assert -1e-9 <= ecmi <= cmi + 1e-9
+    assert cmi <= ucmi + 1e-9
+    assert ucmi <= cap + 1e-9

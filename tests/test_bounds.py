@@ -407,6 +407,43 @@ class TestCheckTheorem:
         assert len(set(descs)) == len(descs)
 
 
+# each gap theorem's RHS formula at (cmi, n, empirical mean, scale) and its LHS
+GAP_THEOREMS = {
+    "agnostic-expected": (lambda c, n, e, s: bound_agnostic("expected", c, n, s), lambda g: abs(g.gap)),
+    "agnostic-absolute": (lambda c, n, e, s: bound_agnostic("absolute", c, n, s), lambda g: abs(g.gap)),
+    "agnostic-squared": (lambda c, n, e, s: bound_agnostic("squared", c, n, s), lambda g: g.gap_squared),
+    "agnostic-unbounded": (lambda c, n, e, s: bound_agnostic("unbounded", c, n, s), lambda g: abs(g.gap)),
+    "realizable-zero": (lambda c, n, e, s: bound_realizable(0.0, c, n), lambda g: g.population_mean),
+    "realizable-general": (lambda c, n, e, s: bound_realizable(e, c, n), lambda g: g.population_mean),
+}
+
+
+def test_gap_theorems_are_the_table_rows():
+    assert {tid for tid, spec in THEOREMS.items() if spec.lhs is not None} == set(GAP_THEOREMS)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(GAP_THEOREMS))
+def test_gap_theorem_matches_its_formula(theorem_id):
+    formula, lhs = GAP_THEOREMS[theorem_id]
+    emp = 0.0 if theorem_id == "realizable-zero" else 0.1
+    gap = GapEstimate(
+        empirical_mean=emp,
+        population_mean=emp + 0.05,
+        gap=-0.05,
+        gap_squared=0.004,
+        ci_halfwidth=0.01,
+        trials=200,
+        seed=3,
+    )
+    cmi = CmiEstimate(value=1.5, method="monte-carlo", ci_halfwidth=0.1, trials=50, seed=0)
+    report = check_theorem(theorem_id, cmi, gap, 100, scale=2.5)
+    # the Monte-Carlo CMI enters the formula raised by 3 halfwidths
+    assert report.rhs == formula(1.5 + 3.0 * 0.1, 100, emp, 2.5)
+    assert report.lhs_value == lhs(gap)
+    assert report.lhs_ci == gap.ci_halfwidth and report.seed == gap.seed
+    assert report.satisfied == (report.rhs >= report.lhs_value - gap.ci_halfwidth)
+
+
 class TestCheckAuroc:
     def test_small_pipeline_run(self):
         dist = grid_threshold_distribution(size=32, theta_index=16)

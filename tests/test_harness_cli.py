@@ -195,6 +195,32 @@ class TestCli:
                 theorems=["realizable-zero"],
             ),
         }
+        # (theorem, params): each row reads its own parameters, in its domain
+        theorem_cases = {
+            "cmi-overide-misspelled": ("agnostic-expected", {"cmi_overide": 50.0}),
+            "scale-negative": ("agnostic-expected", {"scale": -1}),
+            "scale-not-a-number": ("agnostic-expected", {"scale": "x"}),
+            "cmi-override-negative": ("agnostic-expected", {"cmi_override": -1}),
+            "rhs-override-not-a-number": ("agnostic-expected", {"rhs_override": "x"}),
+            "scale-unread": ("realizable-general", {"scale": 2.0}),
+            "epsilon-unread": ("agnostic-expected", {"epsilon": 0.3}),
+        }
+        for name, (theorem, params) in theorem_cases.items():
+            cases[name] = small_config(theorems=[{"id": theorem, "params": params}])
+        theorem_cases["auroc-trials-not-a-number"] = ("auroc", {"trials": "x"})
+        cases["auroc-trials-not-a-number"] = small_config(
+            learner={"id": "threshold"},
+            distribution={"id": "grid_threshold"},
+            cmi=mc,
+            theorems=[{"id": "auroc", "params": {"trials": "x"}}],
+        )
+        # grid_threshold's step 0.01 is off pathological_erm's 10^-1 grid
+        for mode in ({"mode": "exact"}, mc):
+            cases[f"off-grid-{mode['mode']}"] = small_config(
+                learner={"id": "pathological_threshold", "params": {"grid_decimals": 1}},
+                distribution={"id": "grid_threshold", "params": {"size": 4}},
+                cmi=mode,
+            )
         # applicability shows only once the gap is estimated
         needs_data = {"realizable-zero-noisy"}
 
@@ -211,7 +237,9 @@ class TestCli:
                 assert cli.main(["suite", "--config", str(path)]) == 2, name
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
-        assert "'tiny'" in err and "'realizable-zero'" in err
+            if name in theorem_cases or name in needs_data:
+                theorem = theorem_cases[name][0] if name in theorem_cases else "realizable-zero"
+                assert f"'tiny': theorem '{theorem}'" in err, (name, err)
         # the gap command estimates a gap whatever theorems are listed
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(small_config(trials=99, theorems=["auroc"])))
@@ -226,6 +254,16 @@ class TestCli:
         cfg.write_text(json.dumps(small_config()))
         assert cli.main(["ucmi", "--config", str(cfg)]) == 5
         assert capsys.readouterr().err == "error: bracket did not close\n"
+
+    def test_parity_on_finite_vector_features(self, tmp_path, capsys):
+        points = [[[[0, 1], 1], 0.25], [[[1, 1], 0], 0.25], [[[1, 0], 1], 0.5]]
+        cfg = tmp_path / "parity.json"
+        cfg.write_text(json.dumps(small_config(
+            learner={"id": "parity", "params": {"d": 2}},
+            distribution={"id": "finite", "params": {"atoms": points}},
+        )))
+        assert cli.main(["cmi", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["cmi"]["exact"]["value_nats"] >= 0.0
 
     def test_missing_config_is_config_error(self):
         assert cli.main(["suite", "--config", "/no/such/file.json"]) == 2
