@@ -10,8 +10,10 @@ given the selector available in full, so the selection information
 
     I(A(z_s); S),   S uniform on {0,1}^n
 
-can be computed exactly by enumerating the 2^n selectors.  On top of that
-single primitive the module builds:
+can be computed exactly by enumerating the 2^n selectors -- or, for a
+deterministic kernel that declares a fold over its input points, by
+counting its outputs row by row over the distinct fold states, with the
+same integer counts.  On top of that single primitive the module builds:
 
 * ``cmi_exact_fixed``        -- exact value for one fixed supersample;
 * ``cmi_distributional``     -- expectation over supersamples, exact by full
@@ -20,8 +22,9 @@ single primitive the module builds:
 * ``cmi_distribution_free``  -- a max over caller-supplied candidate
   supersamples, flagged as a lower bound on the true supremum;
 * ``ucmi_fixed``             -- the worst case over *all* selector laws,
-  which equals the capacity of the channel s -> A(z_s) and is solved by
-  Blahut-Arimoto with a monotone lower-bound bracket;
+  which equals the capacity of the channel s -> A(z_s): log of the reachable
+  output count for a deterministic kernel, else solved by Blahut-Arimoto
+  with a monotone lower-bound bracket;
 * ``ecmi_fixed``             -- the evaluated variant, where outputs are
   first pushed through a loss table over all 2n supersample points;
 * ``compose_pair`` / ``compose_adaptive`` / ``postprocess`` -- kernel
@@ -164,6 +167,13 @@ class AlgorithmKernel:
     same algorithm as a dataset -> label function, set only when there is no
     randomness; the engines then count labels instead of building a table
     per dataset.  ``deterministic`` is derived: it is ``raw_map is not None``.
+
+    ``fold = (init, step, finish)`` optionally gives ``raw_map`` as a fold
+    over the dataset's points: for every dataset z_1..z_n,
+    ``finish(step(...step(init, z_1)..., z_n)) == raw_map(z)``, raising the
+    same exception type where ``raw_map`` raises.  States must be hashable.
+    The exact engines then count labels by a row-by-row pass over the
+    distinct states instead of 2^n fits.
     """
 
     evaluate: Callable[[tuple[Any, ...]], FiniteDistribution]
@@ -171,8 +181,11 @@ class AlgorithmKernel:
     name: str = ""
     certificate: Any = None
     raw_map: Callable[[tuple[Any, ...]], Any] | None = None
+    fold: tuple[Any, Callable[[Any, Any], Any], Callable[[Any], Any]] | None = None
 
     def __post_init__(self) -> None:
+        if self.fold is not None and self.raw_map is None:
+            raise ValueError("a fold needs the raw_map it folds")
         universe = None if self.output_universe is None else frozenset(self.output_universe)
         object.__setattr__(self, "_universe", universe)
 
@@ -199,14 +212,17 @@ class AlgorithmKernel:
         output_universe: tuple[Any, ...] | None = None,
         name: str = "",
         certificate: Any = None,
+        fold: tuple[Any, Callable[[Any, Any], Any], Callable[[Any], Any]] | None = None,
     ) -> "AlgorithmKernel":
-        """Wrap a deterministic dataset -> label function as a kernel."""
+        """Wrap a deterministic dataset -> label function, optionally with its
+        fold (see the class docstring), as a kernel."""
         return cls(
             evaluate=lambda ds: FiniteDistribution.point_mass(fn(ds)),
             output_universe=output_universe,
             name=name,
             certificate=certificate,
             raw_map=fn,
+            fold=fold,
         )
 
     @classmethod
@@ -363,6 +379,60 @@ def _merged(pairs: Iterable[tuple[Any, float]], key: Callable[[Any], Any]) -> di
     return acc
 
 
+def _fold_label_counts(
+    supersample: Supersample, kernel: AlgorithmKernel, cap: int
+) -> dict[Any, int]:
+    """Label counts by folding the kernel's state over the rows.
+
+    After row i, ``states`` maps each reachable state to the number of
+    partial selectors (bits 0..i) reaching it; every state branches once per
+    column and equal states merge.  Branching column 0 of every state before
+    column 1 visits the partial selectors in increasing order, so each dict
+    stays ordered by the least selector reaching its key: the labels come
+    back in the order in which enumerating selectors in integer order first
+    meets them.
+    """
+    init, step, finish = kernel.fold  # type: ignore[misc]
+    states: dict[Any, int] = {init: 1}
+    for i, row in enumerate(supersample.grid):
+        merged: dict[Any, int] = {}
+        for point in row:
+            for state, count in states.items():
+                nxt = step(state, point)
+                merged[nxt] = merged.get(nxt, 0) + count
+        if len(merged) > cap:
+            raise ExactEnumerationError(
+                f"{len(merged)} fold states after row {i} exceed the cap of {cap}; "
+                "too large for exact computation, use Monte Carlo over supersamples"
+            )
+        states = merged
+    labels: dict[Any, int] = {}
+    for state, count in states.items():
+        label = finish(state)
+        labels[label] = labels.get(label, 0) + count
+    return labels
+
+
+def _label_counts(
+    supersample: Supersample, kernel: AlgorithmKernel, cap: int = SELECTOR_CAP
+) -> dict[Any, int]:
+    """{label: number of selectors s with raw_map(z_s) == label} for a
+    deterministic kernel, labels in the order selectors in integer order
+    first reach them.  Uses the kernel's fold when it declares one (``cap``
+    then bounds the states held after any row), else one fit per selector
+    (``cap`` bounds 2^n)."""
+    if kernel.fold is not None:
+        counts = _fold_label_counts(supersample, kernel, cap)
+    else:
+        counts = {}
+        fetch = kernel.raw_map
+        for ds in selected_datasets(supersample, cap):
+            label = fetch(ds)  # type: ignore[misc]
+            counts[label] = counts.get(label, 0) + 1
+    kernel.check_outputs(counts)
+    return counts
+
+
 def _selection_information(
     supersample: Supersample,
     kernel: AlgorithmKernel,
@@ -373,29 +443,27 @@ def _selection_information(
     """I(relabel(A(z_S)); S) for a uniform selector, with the number of
     reachable (relabeled) outputs.
 
-    Computed as H(marginal) - mean_s H(P(. | s)) in one pass over the
-    selectors, holding only the marginal: O(|W|) memory.  A kernel with a
-    ``raw_map`` adds an integer count per selector (its rows have zero
-    entropy); any other kernel adds its probability row.  ``relabel`` merges
-    outputs by a deterministic key before the entropies are taken.
+    Computed as H(marginal) - mean_s H(P(. | s)), holding only the marginal:
+    O(|W|) memory.  A kernel with a ``raw_map`` takes its marginal from
+    :func:`_label_counts` as exact integer counts (its rows have zero
+    entropy); any other kernel adds its probability row per selector.
+    ``relabel`` merges outputs by a deterministic key before the entropies
+    are taken.
     """
     total = 2**supersample.n
-    datasets = selected_datasets(supersample, selector_cap)
-    marginal: dict[Any, float] = {}
+    marginal: dict[Any, float]
     row_entropy = 0.0
     if kernel.raw_map is not None:
-        fetch = kernel.raw_map
-        for ds in datasets:
-            label = fetch(ds)
-            marginal[label] = marginal.get(label, 0) + 1
+        marginal = _label_counts(supersample, kernel, selector_cap)  # type: ignore[assignment]
     else:
-        for ds in datasets:
+        marginal = {}
+        for ds in selected_datasets(supersample, selector_cap):
             row = [(label, mass) for label, mass in kernel.evaluate(ds).atoms if mass > 0.0]
             for label, mass in row:
                 marginal[label] = marginal.get(label, 0.0) + mass
             masses = row if relabel is None else _merged(row, relabel).items()
             row_entropy -= sum(mass * math.log(mass) for _, mass in masses)
-    kernel.check_outputs(marginal)
+        kernel.check_outputs(marginal)
     if relabel is not None:
         marginal = _merged(marginal.items(), relabel)
     value = 0.0
@@ -413,10 +481,11 @@ def cmi_exact_fixed(
 ) -> CmiEstimate:
     """Exact selection information I(A(z_s); S) for one fixed supersample.
 
-    Enumerates all 2^n selectors.  For deterministic kernels this reduces to
-    the entropy of the output under a uniform selector; in general it is
-    H(output) - H(output | S) accumulated from the kernel's distribution
-    tables.
+    Enumerates all 2^n selectors, or for a kernel with a fold its states row
+    by row (``selector_cap`` then caps the states held).  For deterministic
+    kernels this reduces to the entropy of the output under a uniform
+    selector; in general it is H(output) - H(output | S) accumulated from
+    the kernel's distribution tables.
     """
     value, reachable = _selection_information(supersample, kernel, selector_cap=selector_cap)
     _validate_cmi_value(value, supersample.n, reachable)
@@ -603,7 +672,12 @@ def ucmi_fixed(
 
     The first Blahut-Arimoto lower bound is exactly the uniform-selector
     value, so the result always dominates ``cmi_exact_fixed`` up to ``tol``.
+    A deterministic kernel's channel is noiseless, so its capacity is
+    log(#reachable outputs), taken from the label counts with no matrix.
     """
+    if kernel.raw_map is not None:
+        reachable = len(_label_counts(supersample, kernel))
+        return CmiEstimate(value=math.log(reachable), method="exact")
     mat, outputs = channel_matrix(supersample, kernel)
     result = blahut_arimoto(mat, tol=tol, max_iters=max_iters)
     _validate_cmi_value(result.capacity, supersample.n, len(outputs))

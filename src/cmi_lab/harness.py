@@ -60,6 +60,7 @@ from .bounds import (
 )
 from .info_core import LOG2, FiniteDistribution
 from .learners import (
+    _MAX_POINTS as MAX_ENCODED_POINTS,
     ConstantHypothesis,
     on_grid,
     parity_kernel,
@@ -87,12 +88,14 @@ class UnknownComponentError(ConfigError):
 class LearnerBundle:
     """A registered learner.  Every bundled learner is deterministic, so
     ``kernel.raw_map`` is its fit; ``score_of`` ranks points for AUROC (all
-    equal by default); ``accepts`` tests the feature x of a point (x, y)."""
+    equal by default); ``accepts`` tests the feature x of a point (x, y);
+    ``max_n`` is the largest dataset it can fit, if it has one."""
 
     kernel: AlgorithmKernel
     inner_mi: Callable[[Supersample], float] | None = None
     score_of: Callable[[Any, Any], float] = lambda w, z: 0.0
     accepts: Callable[[Any], bool] = lambda x: True
+    max_n: int | None = None
 
 
 def _threshold_score(w, z) -> float:
@@ -115,7 +118,9 @@ def _make_pathological(params: Mapping[str, Any]) -> LearnerBundle:
     """The threshold bundle, restricted to features on the encoder's grid."""
     g = int(params.get("grid_decimals", 2))
     bundle = _threshold_bundle(pathological_kernel(g), pathological_selection_entropy)
-    return dataclasses.replace(bundle, accepts=lambda x: bundle.accepts(x) and on_grid(x, g))
+    return dataclasses.replace(
+        bundle, accepts=lambda x: bundle.accepts(x) and on_grid(x, g), max_n=MAX_ENCODED_POINTS
+    )
 
 
 def _make_parity(params: Mapping[str, Any]) -> LearnerBundle:
@@ -281,9 +286,14 @@ class ExperimentConfig:
         if mode not in ("exact", "mc", "both"):
             raise ConfigError(f"unknown cmi mode {mode!r}")
         bundle = _resolve(LEARNERS, "learner", learner)
+        if bundle.max_n is not None and n > bundle.max_n:
+            raise ConfigError(
+                f"{exp_id!r}: learner {learner['id']!r} takes at most {bundle.max_n} points, got n={n}"
+            )
         points = _resolve(DISTRIBUTIONS, "distribution", dist)
         for z in points.support():
-            if not (isinstance(z, tuple) and len(z) == 2 and bundle.accepts(z[0])):
+            # every bundled learner and the zero-one loss take bit labels
+            if not (isinstance(z, tuple) and len(z) == 2 and z[1] in (0, 1) and bundle.accepts(z[0])):
                 raise ConfigError(
                     f"{exp_id!r}: learner {learner['id']!r} cannot take point {z!r} "
                     f"of distribution {dist['id']!r}"

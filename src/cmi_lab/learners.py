@@ -13,7 +13,10 @@
   keep selection information small.
 
 Datasets are tuples of ``(x, y)`` pairs with bit labels.  All learners are
-pure functions; the kernels built from them are deterministic.
+pure functions; the kernels built from them are deterministic.  The
+threshold and parity kernels also declare their learner as a fold over the
+points (``AlgorithmKernel.fold``), so the exact engines count their outputs
+row by row instead of fitting once per selector.
 
 Open problems deliberately not attempted here: whether every class of VC
 dimension d admits an *approximate* empirical risk minimizer whose
@@ -26,6 +29,7 @@ hypothesis classes for the consistent ERM are likewise out of scope.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -87,8 +91,20 @@ def threshold_learn(dataset: Sequence[LabeledPoint]) -> ThresholdHypothesis:
     return ThresholdHypothesis(min(positives) if positives else math.inf)
 
 
+def _threshold_step(t: Any, point: LabeledPoint) -> Any:
+    # compares like ``min``: the first positive is taken as is (even a NaN)
+    x, y = point
+    return x if y == 1 and (t is None or x < t) else t
+
+
 def threshold_kernel() -> AlgorithmKernel:
-    return AlgorithmKernel.deterministic_map(threshold_learn, name="threshold")
+    """The min-positive learner; its fold state is the smallest positive x
+    so far, ``None`` before the first."""
+    return AlgorithmKernel.deterministic_map(
+        threshold_learn,
+        name="threshold",
+        fold=(None, _threshold_step, lambda t: ThresholdHypothesis(math.inf if t is None else t)),
+    )
 
 
 def threshold_selection_entropy(supersample: Supersample) -> float:
@@ -213,9 +229,53 @@ def parity_learn(dataset: Sequence[LabeledPoint], d: int) -> ParityHypothesis:
     return ParityHypothesis(tuple(w))
 
 
+def _odd_parities(x_mask: int, d: int) -> int:
+    """Bit k set iff the k-th parity in lexicographic order is odd on x.
+
+    Rank k holds w with w_j = bit d-1-j of k, so <w, x> is the parity of
+    k & r, where r is x with its d bits reversed; each doubling step adds
+    rank bit b, which flips the parity of every rank exactly when r has it.
+    """
+    odd = 0
+    for b in range(d):
+        width = 1 << b
+        high = odd ^ ((1 << width) - 1) if x_mask >> (d - 1 - b) & 1 else odd
+        odd |= high << width
+    return odd
+
+
+def parity_fold(d: int) -> tuple[int, Callable[[int, LabeledPoint], int], Callable[[int], ParityHypothesis]]:
+    """``parity_learn`` as a fold: the state is the bit mask, over the 2^d
+    parities in lexicographic order, of those consistent so far."""
+    odd_on = functools.lru_cache(maxsize=None)(lambda x_mask: _odd_parities(x_mask, d))
+
+    def step(consistent: int, point: LabeledPoint) -> int:
+        if not consistent:  # parity_learn has already failed on an earlier point
+            return 0
+        x, y = point
+        if len(x) != d:
+            raise ValueError(f"feature length {len(x)} != d={d}")
+        odd = odd_on(_bits_to_mask(x))
+        return consistent & odd if int(y) & 1 else consistent & ~odd
+
+    def finish(consistent: int) -> ParityHypothesis:
+        if not consistent:
+            raise NotRealizableError("dataset is not realizable by any parity")
+        k = (consistent & -consistent).bit_length() - 1
+        return ParityHypothesis(tuple(k >> (d - 1 - j) & 1 for j in range(d)))
+
+    return (1 << 2**d) - 1, step, finish
+
+
+#: parity kernels fold only up to this d: the fold state is a 2^d-bit mask.
+PARITY_FOLD_MAX_D = 12
+
+
 def parity_kernel(d: int) -> AlgorithmKernel:
     return AlgorithmKernel.deterministic_map(
-        lambda ds: parity_learn(ds, d), name=f"parity-d{d}"
+        lambda ds: parity_learn(ds, d),
+        name=f"parity-d{d}",
+        fold=parity_fold(d) if d <= PARITY_FOLD_MAX_D else None,
     )
 
 
@@ -433,25 +493,31 @@ def on_grid(x: Any, grid_decimals: int) -> bool:
     return True
 
 
-def _encode_payload(dataset: Dataset, grid_decimals: int) -> tuple[int, int]:
+def _encode_payload(dataset: Dataset, grid_ints: Sequence[int]) -> tuple[int, int]:
     if len(dataset) > _MAX_POINTS:
         raise ValueError(f"can encode at most {_MAX_POINTS} points")
     digits = ["1", f"{len(dataset):02d}"]
-    for x, y in dataset:
+    for (_, y), xi in zip(dataset, grid_ints):
         if y not in (0, 1):
             raise ValueError(f"labels must be bits, got {y!r}")
-        digits.append(f"{_grid_int(x, grid_decimals):0{_MAX_COORD_DIGITS}d}{y:d}")
+        digits.append(f"{xi:0{_MAX_COORD_DIGITS}d}{y:d}")
     payload = "".join(digits)
     return int(payload), len(payload)
 
 
-def encode_dataset_below(base_int: int, dataset: Dataset, grid_decimals: int) -> Fraction:
+def encode_dataset_below(
+    base_int: int, dataset: Dataset, grid_decimals: int, grid_ints: Sequence[int] | None = None
+) -> Fraction:
     """An exact threshold just below ``base_int * 10^-g`` whose decimal tail,
     after ``GUARD_DIGITS`` guard digits under the grid resolution, spells
-    out the entire dataset."""
-    payload, length = _encode_payload(dataset, grid_decimals)
-    delta = Fraction(payload, 10 ** (grid_decimals + GUARD_DIGITS + length))
-    return Fraction(base_int, 10**grid_decimals) - delta
+    out the entire dataset.  ``grid_ints`` are the features already on the
+    integer grid, when the caller has them."""
+    if grid_ints is None:
+        grid_ints = [_grid_int(x, grid_decimals) for x, _ in dataset]
+    payload, length = _encode_payload(dataset, grid_ints)
+    # base * 10^-g - payload * 10^-(g + guard + length), reduced once
+    shift = 10 ** (GUARD_DIGITS + length)
+    return Fraction(base_int * shift - payload, 10**grid_decimals * shift)
 
 
 def decode_dataset(t: Fraction, grid_decimals: int) -> Dataset:
@@ -501,16 +567,22 @@ def pathological_erm(
     ceiling despite the class having VC dimension 1.
     """
     ds = tuple((x, int(y)) for x, y in dataset)
+    if not ds:
+        raise ValueError("pathological_erm needs at least one point")
     ints = [_grid_int(x, grid_decimals) for x, _ in ds]
-    ys = [y for _, y in ds]
-    candidates = sorted(set(ints)) + [max(ints) + 1]
-    best = None
-    best_errors = None
-    for c in candidates:
-        errors = sum(1 for xi, y in zip(ints, ys) if (1 if xi >= c else 0) != y)
-        if best_errors is None or errors < best_errors:
-            best, best_errors = c, errors
-    t = encode_dataset_below(best, ds, grid_decimals)
+    # moving the cut from one grid value past the next turns that value's
+    # points from predicted 1 to predicted 0: +1 error per label 1, -1 per 0
+    shift: dict[int, int] = {}
+    for xi, (_, y) in zip(ints, ds):
+        shift[xi] = shift.get(xi, 0) + (1 if y == 1 else -1)
+    cuts = sorted(shift)
+    errors = best_errors = sum(1 for _, y in ds if y != 1)  # cut at the least value
+    best = cuts[0]
+    for c, nxt in zip(cuts, cuts[1:] + [cuts[-1] + 1]):
+        errors += shift[c]
+        if errors < best_errors:
+            best, best_errors = nxt, errors
+    t = encode_dataset_below(best, ds, grid_decimals, ints)
     return ThresholdHypothesis(t)
 
 

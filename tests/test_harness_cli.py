@@ -221,6 +221,14 @@ class TestCli:
                 distribution={"id": "grid_threshold", "params": {"size": 4}},
                 cmi=mode,
             )
+        # every bundled learner fits bit labels; the encoder holds 99 points
+        cases["label-not-a-bit"] = small_config(
+            learner={"id": "pathological_threshold"},
+            distribution={"id": "finite", "params": {"atoms": [[[0.01, 2], 0.5], [[0.02, 1], 0.5]]}},
+        )
+        cases["pathological-n-above-99"] = small_config(
+            learner={"id": "pathological_threshold"}, distribution=grid, n=120, cmi=mc
+        )
         # applicability shows only once the gap is estimated
         needs_data = {"realizable-zero-noisy"}
 

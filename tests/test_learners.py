@@ -26,6 +26,7 @@ from cmi_lab.learners import (
     dataset_from_csv,
     dataset_from_json,
     decode_dataset,
+    encode_dataset_below,
     interval_class,
     labellings,
     parity_collision_probability,
@@ -409,6 +410,36 @@ class TestPathologicalErm:
     def test_off_grid_rejected(self):
         with pytest.raises(ValueError):
             pathological_erm(((0.123456, 1),), grid_decimals=2)
+
+    @staticmethod
+    def reference_cut(ds, grid_decimals):
+        """The least grid cut of minimal empirical 0-1 loss, rescanning the
+        whole dataset for every candidate cut."""
+        ints = [round(x * 10**grid_decimals) for x, _ in ds]
+        best = best_errors = None
+        for c in sorted(set(ints)) + [max(ints) + 1]:
+            errors = sum(1 for xi, (_, y) in zip(ints, ds) if (1 if xi >= c else 0) != y)
+            if best_errors is None or errors < best_errors:
+                best, best_errors = c, errors
+        return best
+
+    def test_sweep_matches_rescanning_cut_search(self):
+        rng = np.random.default_rng(14)
+        cases = [
+            ((0.1, 0), (0.2, 1), (0.3, 0), (0.4, 1)),  # ties between cuts
+            ((0.2, 1), (0.2, 0), (0.2, 1), (0.1, 0)),  # repeated x, mixed labels
+            ((0.3, 0), (0.1, 0), (0.3, 0)),  # all 0: cut above the largest x
+            ((0.3, 1), (0.1, 1), (0.1, 1)),  # all 1: cut at the least x
+        ]
+        for _ in range(300):
+            n = int(rng.integers(1, 15))
+            xs = rng.integers(0, 8, size=n) / 100.0  # few values: many repeats
+            ys = rng.integers(0, 2, size=n) if rng.random() < 0.8 else np.full(n, rng.integers(0, 2))
+            cases.append(tuple((float(x), int(y)) for x, y in zip(xs, ys)))
+        for ds in cases:
+            h = pathological_erm(ds, grid_decimals=2)
+            assert math.ceil(h.t * 100) == self.reference_cut(ds, 2), ds
+            assert h == ThresholdHypothesis(encode_dataset_below(self.reference_cut(ds, 2), ds, 2))
 
 
 class TestSerializationAndIo:
