@@ -250,7 +250,9 @@ class CmiEstimate:
     trials: int = 0
     seed: int | None = None
     lower_bound: bool = False
-    fingerprint: str | None = None
+
+    #: (wire key, field) pairs, in wire order
+    JSON_FIELDS = (("value_nats", "value"), ("method", "method"), ("ci", "ci_halfwidth"), ("trials", "trials"), ("seed", "seed"))
 
     def __post_init__(self) -> None:
         if self.method not in ("exact", "monte-carlo"):
@@ -262,23 +264,11 @@ class CmiEstimate:
         object.__setattr__(self, "value", float(Nats(self.value, slop=1e-9)))
 
     def to_json_obj(self) -> dict:
-        return {
-            "value_nats": self.value,
-            "method": self.method,
-            "ci": self.ci_halfwidth,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, name) for key, name in self.JSON_FIELDS}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "CmiEstimate":
-        return cls(
-            value=obj["value_nats"],
-            method=obj["method"],
-            ci_halfwidth=obj["ci"],
-            trials=obj["trials"],
-            seed=obj["seed"],
-        )
+        return cls(**{name: obj[key] for key, name in cls.JSON_FIELDS})
 
 
 def sampling_table(dist: FiniteDistribution) -> tuple[tuple[Any, ...], np.ndarray]:
@@ -493,6 +483,9 @@ def cmi_exact_fixed(
 
 
 def _validate_cmi_value(value: float, n: int, reachable: int) -> None:
+    """The one range check on every CMI-family value an engine returns:
+    0 <= value <= min(n log 2, log reachable); ``reachable`` 0 means the
+    output count is unknown."""
     if value < -1e-9:
         raise RuntimeError(f"negative selection information {value!r}")
     if value > n * LOG2 + 1e-9:
@@ -545,10 +538,18 @@ def cmi_distributional(
 
     ``evaluator`` optionally replaces the generic exact inner engine with a
     structure-specific exact evaluator (it must return the same number); the
-    generic engine is the default.
+    generic engine is the default.  Each value it returns passes the same
+    range check as the generic engine's.
     """
-    inner = evaluator or (lambda ss: float(cmi_exact_fixed(ss, kernel).value))
     n = sampler.n
+
+    def inner(ss: Supersample) -> float:
+        if evaluator is None:
+            return cmi_exact_fixed(ss, kernel).value
+        value = evaluator(ss)
+        _validate_cmi_value(value, n, 0)
+        return value
+
     if mode == "exact":
         support = [(lab, m) for lab, m in sampler.point_distribution.atoms if m > 0.0]
         terms = len(support) ** (2 * n)
@@ -677,11 +678,13 @@ def ucmi_fixed(
     """
     if kernel.raw_map is not None:
         reachable = len(_label_counts(supersample, kernel))
-        return CmiEstimate(value=math.log(reachable), method="exact")
-    mat, outputs = channel_matrix(supersample, kernel)
-    result = blahut_arimoto(mat, tol=tol, max_iters=max_iters)
-    _validate_cmi_value(result.capacity, supersample.n, len(outputs))
-    return CmiEstimate(value=result.capacity, method="exact")
+        value = math.log(reachable)
+    else:
+        mat, outputs = channel_matrix(supersample, kernel)
+        value = blahut_arimoto(mat, tol=tol, max_iters=max_iters).capacity
+        reachable = len(outputs)
+    _validate_cmi_value(value, supersample.n, reachable)
+    return CmiEstimate(value=value, method="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ never exceeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -232,7 +232,7 @@ def bound_realizable(empirical_mean: float, cmi: float, n: int) -> float:
     return 2.0 * empirical_mean + 3.0 * c / n
 
 
-def bound_nonlinear(lam: float, u: float, cmi: float, tail_prob: float) -> float:
+def bound_nonlinear(lam: float, u: float, cmi: float, tail_prob: float = 0.0) -> float:
     """Probability bound for nonlinear dataset-level losses:
     P(|l(A(Z),Z) - ghost| >= lam) <= (2u / lam^2)(cmi + 2) + P(Delta^2 > u).
 
@@ -393,7 +393,6 @@ class GapEstimate:
     ci_halfwidth: float
     trials: int
     seed: int
-    fingerprint: str | None = None
 
     def __post_init__(self) -> None:
         if self.ci_halfwidth < 0.0:
@@ -401,7 +400,7 @@ class GapEstimate:
         if abs(self.gap - (self.empirical_mean - self.population_mean)) > 1e-9:
             raise ValueError("gap must equal empirical_mean - population_mean")
 
-    #: serialized fields, in wire order; the fingerprint is not serialized
+    #: serialized fields, in wire order; each field's wire key is its name
     JSON_FIELDS = ("empirical_mean", "population_mean", "gap", "gap_squared", "ci_halfwidth", "trials", "seed")
 
     def to_json_obj(self) -> dict:
@@ -583,36 +582,26 @@ class BoundReport:
     seed: int
     lhs_estimate: GapEstimate | None = None
 
+    #: (wire key, field) pairs, in wire order; the CSV has the same columns,
+    #: and the wire adds ``lhs_estimate`` as a nested object
+    JSON_FIELDS = (
+        ("theorem_id", "theorem_id"), ("n", "n"), ("cmi_nats", "cmi_nats"), ("rhs", "rhs"),
+        ("lhs", "lhs_value"), ("lhs_ci", "lhs_ci"), ("satisfied", "satisfied"), ("seed", "seed"),
+    )
+    CSV_COLUMNS = tuple(key for key, _ in JSON_FIELDS)
+
     def to_json_obj(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "n": self.n,
-            "cmi_nats": self.cmi_nats,
-            "rhs": self.rhs,
-            "lhs": self.lhs_value,
-            "lhs_ci": self.lhs_ci,
-            "satisfied": self.satisfied,
-            "seed": self.seed,
-            "lhs_estimate": None if self.lhs_estimate is None else self.lhs_estimate.to_json_obj(),
-        }
+        est = self.lhs_estimate
+        obj = {key: getattr(self, name) for key, name in self.JSON_FIELDS}
+        return obj | {"lhs_estimate": None if est is None else est.to_json_obj()}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "BoundReport":
+        est = obj.get("lhs_estimate")
         return cls(
-            theorem_id=obj["theorem_id"],
-            n=obj["n"],
-            cmi_nats=obj["cmi_nats"],
-            rhs=obj["rhs"],
-            lhs_value=obj["lhs"],
-            lhs_ci=obj["lhs_ci"],
-            satisfied=obj["satisfied"],
-            seed=obj["seed"],
-            lhs_estimate=None
-            if obj.get("lhs_estimate") is None
-            else GapEstimate.from_json_obj(obj["lhs_estimate"]),
+            **{name: obj[key] for key, name in cls.JSON_FIELDS},
+            lhs_estimate=None if est is None else GapEstimate.from_json_obj(est),
         )
-
-    CSV_COLUMNS = ("theorem_id", "n", "cmi_nats", "rhs", "lhs", "lhs_ci", "satisfied", "seed")
 
     def csv_row(self) -> list[str]:
         return [
@@ -666,8 +655,6 @@ def check_theorem(
     spec = THEOREMS.get(theorem_id)
     if spec is None or spec.lhs is None:
         raise UnknownTheoremError(f"{theorem_id!r} is not a gap theorem of THEOREMS (auroc: see check_auroc)")
-    if None not in (cmi.fingerprint, gap.fingerprint) and cmi.fingerprint != gap.fingerprint:
-        raise ValueError(f"mismatched experiment fingerprints: {cmi.fingerprint!r} vs {gap.fingerprint!r}")
     params = {"scale": scale} if "scale" in spec.params else {}
     rhs_at = lambda c: spec.rhs(c, n, gap.empirical_mean, **params)
     return _report(theorem_id, cmi, n, rhs_at, spec.lhs(gap), gap.ci_halfwidth, gap, rhs_override)
@@ -709,8 +696,3 @@ def check_auroc(
     p = positive_rate(population.points, is_positive)
     rhs_at = lambda c: THEOREMS["auroc"].rhs(c, n, p, epsilon=epsilon, trials=trials)
     return _report("auroc", cmi, n, rhs_at, freq, freq_ci, GapEstimate.from_samples(emps, pops, seed), rhs_override)
-
-
-def with_fingerprint(est, fingerprint: str):
-    """Attach an experiment fingerprint to a CMI or gap estimate."""
-    return replace(est, fingerprint=fingerprint)

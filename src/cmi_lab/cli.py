@@ -7,7 +7,8 @@ formula directly from parameters.
 
 Exit codes: 0 success and every checked inequality satisfied; 2 config or
 component-resolution error, including a theorem that does not apply to the
-experiment and bound parameters outside the formula's domain; 3 exact mode
+experiment, bound parameters outside the formula's domain or not read by
+it, and an unreadable config or unwritable ``--out``; 3 exact mode
 infeasible at the requested size; 4 at least one inequality unsatisfied;
 5 Blahut-Arimoto did not converge.
 """
@@ -15,6 +16,7 @@ infeasible at the requested size; 4 at least one inequality unsatisfied;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,6 +41,7 @@ from .harness import (
     single_ecmi,
     single_gap,
     single_ucmi,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -97,19 +100,19 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text(text, out)
 
 
+#: each family's formula, called with the spec's params as keywords, so a
+#: missing or unknown parameter is a TypeError and each default lives in
+#: the formula's signature
 _BOUND_FAMILIES = {
-    "agnostic": lambda p: bound_agnostic(p["kind"], p["cmi"], p["n"], p.get("scale", 1.0)),
-    "realizable": lambda p: bound_realizable(p.get("empirical_mean", 0.0), p["cmi"], p["n"]),
-    "nonlinear": lambda p: bound_nonlinear(p["lam"], p["u"], p["cmi"], p.get("tail_prob", 0.0)),
-    "nonlinear-expectation": lambda p: bound_nonlinear_expectation(p["cmi"], p["e_delta_sq"]),
-    "auroc": lambda p: bound_auroc(
-        p["epsilon"], p["p"], p["n"], p["cmi"], p.get("form", "absorbed")
-    ),
-    "normalized": lambda p: bound_normalized(p["epsilon"], p["cmi"], p["n"], p["e_delta_sq"]),
+    "agnostic": bound_agnostic,
+    "realizable": functools.partial(bound_realizable, empirical_mean=0.0),
+    "nonlinear": bound_nonlinear,
+    "nonlinear-expectation": bound_nonlinear_expectation,
+    "auroc": bound_auroc,
+    "normalized": bound_normalized,
 }
 
 
@@ -134,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             if family not in _BOUND_FAMILIES:
                 raise ConfigError(f"unknown bound family {family!r}")
             try:
-                value = _BOUND_FAMILIES[family](spec.get("params", {}))
+                value = _BOUND_FAMILIES[family](**spec.get("params", {}))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bound family {family!r}: {exc}") from exc
             _write(json.dumps({"family": family, "value": value}) + "\n", args.out)
@@ -152,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    except (ConfigError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -6,8 +6,10 @@ names a registered learner, data distribution, and loss, fixes ``n``,
 (``exact`` | ``mc`` | ``both``), and lists the bound checks to run.
 
 Determinism contract: rerunning an identical (config, seed) pair yields a
-bit-identical report in exact mode, and identical Monte-Carlo numbers via
-the seed-derivation rule hash(seed, experiment-id, trial).  Experiments run
+byte-identical CSV report, and a JSON report that differs only in
+``wall_times``; Monte-Carlo numbers repeat through the seed-derivation rule
+hash(seed, experiment-id, trial).  A JSON report parses back
+(:meth:`SuiteReport.from_json_obj`) to an equal object.  Experiments run
 one after another in config order; each is a pure computation of its own
 config and seed, so no experiment's numbers depend on another's.  Exact
 mode is never silently downgraded to Monte Carlo -- an infeasible exact
@@ -55,10 +57,9 @@ from .bounds import (
     check_theorem,
     estimate_gap,
     positive_rate,
-    with_fingerprint,
     zero_one_loss,
 )
-from .info_core import LOG2, FiniteDistribution
+from .info_core import FiniteDistribution
 from .learners import (
     _MAX_POINTS as MAX_ENCODED_POINTS,
     ConstantHypothesis,
@@ -247,7 +248,6 @@ class ExperimentConfig:
     learner_params: dict
     distribution_id: str
     distribution_params: dict
-    loss_id: str
     n: int
     trials: int
     seed: int
@@ -305,7 +305,6 @@ class ExperimentConfig:
             learner_params=dict(learner.get("params", {})),
             distribution_id=dist["id"],
             distribution_params=dict(dist.get("params", {})),
-            loss_id=loss["id"],
             n=n,
             trials=int(obj.get("trials", 1000)),
             seed=seed,
@@ -333,13 +332,6 @@ class ExperimentConfig:
     def check_gap_trials(self) -> None:
         if self.trials < MIN_GAP_TRIALS:
             raise ConfigError(f"{self.experiment_id!r}: gap trials {self.trials} < {MIN_GAP_TRIALS}")
-
-    @property
-    def fingerprint(self) -> str:
-        return (
-            f"{self.experiment_id}:{self.learner_id}:{self.distribution_id}:"
-            f"{self.loss_id}:n={self.n}"
-        )
 
 
 def config_hash(obj: Any) -> str:
@@ -436,9 +428,9 @@ def _compute_cmi(config: ExperimentConfig, seed: int) -> dict[str, CmiEstimate]:
     modes = ("exact", "mc") if config.cmi_mode == "both" else (config.cmi_mode,)
     for mode in modes:
         if mode == "exact":
-            est = cmi_distributional(config.bundle.kernel, sampler, mode="exact")
+            out[mode] = cmi_distributional(config.bundle.kernel, sampler, mode="exact")
         else:
-            est = cmi_distributional(
+            out[mode] = cmi_distributional(
                 config.bundle.kernel,
                 sampler,
                 mode="mc",
@@ -446,7 +438,6 @@ def _compute_cmi(config: ExperimentConfig, seed: int) -> dict[str, CmiEstimate]:
                 seed=derive_seed(seed, config.experiment_id, "cmi"),
                 evaluator=config.bundle.inner_mi,
             )
-        out[mode] = with_fingerprint(est, config.fingerprint)
     return out
 
 
@@ -472,7 +463,7 @@ def run_experiment(config: ExperimentConfig, seed_override: int | None = None) -
         params = dict(req.params)
         cmi = primary
         if "cmi_override" in params:
-            cmi = with_fingerprint(CmiEstimate(value=params.pop("cmi_override"), method="exact"), config.fingerprint)
+            cmi = CmiEstimate(value=params.pop("cmi_override"), method="exact")
         try:
             if THEOREMS[req.theorem_id].lhs is None:
                 reports.append(
@@ -489,22 +480,13 @@ def run_experiment(config: ExperimentConfig, seed_override: int | None = None) -
                 )
                 continue
             if gap is None:
-                gap = with_fingerprint(_estimate_gap(config, seed), config.fingerprint)
+                gap = _estimate_gap(config, seed)
             reports.append(check_theorem(req.theorem_id, cmi, gap, config.n, **params))
         except ValueError as exc:
             # a theorem that does not apply to this experiment's data
             raise ConfigError(f"{config.experiment_id!r}: theorem {req.theorem_id!r}: {exc}") from exc
 
-    properties = [
-        PropertyResult(
-            name=f"{config.experiment_id}:cmi-range",
-            ok=all(
-                -1e-9 <= est.value <= config.n * LOG2 + 1e-9
-                for est in cmi_estimates.values()
-            ),
-            detail=f"0 <= cmi <= n log 2 for n={config.n}",
-        )
-    ]
+    properties = []
     if len(cmi_estimates) == 2:
         exact, mc = cmi_estimates["exact"], cmi_estimates["mc"]
         gap_val = abs(exact.value - mc.value)
@@ -579,12 +561,16 @@ def emit(report: SuiteReport, fmt: str, path: str | None) -> str:
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"failed to write report to {path!r}: {exc}") from exc
+        write_text(text, path)
     return text
+
+
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` to the file ``path``; the one file writer behind
+    :func:`emit` and the CLI's single commands.  An unwritable path raises
+    ``OSError``."""
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def bundled_suite_path() -> str:

@@ -535,17 +535,18 @@ def decode_dataset(t: Fraction, grid_decimals: int) -> Dataset:
         d = int(frac)
         digits.append(str(d))
         frac -= d
-    text = "".join(digits)
+    # the exact expansion ends at the payload's last nonzero digit; a
+    # trailing label 0 (or point (0, 0)) leaves zeros to restore
+    text = "".join(digits).ljust(3, "0")
     if text[0] != "1":
         raise ValueError("payload marker missing")
     count = int(text[1:3])
+    width = _MAX_COORD_DIGITS + 1
+    text = text.ljust(3 + count * width, "0")
     out: list[LabeledPoint] = []
     pos = 3
-    width = _MAX_COORD_DIGITS + 1
     for _ in range(count):
         chunk = text[pos : pos + width]
-        if len(chunk) < width:
-            raise ValueError("payload truncated")
         xi = int(chunk[:_MAX_COORD_DIGITS])
         y = int(chunk[_MAX_COORD_DIGITS])
         out.append((xi / 10**grid_decimals, y))

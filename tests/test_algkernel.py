@@ -259,6 +259,14 @@ class TestCmiDistributional:
         with pytest.raises(ValueError):
             cmi_distributional(AlgorithmKernel.constant(), sampler, mode="mc", trials=5)
 
+    def test_evaluator_values_are_range_checked(self):
+        n = 2
+        sampler = SupersampleSampler.from_distribution(FiniteDistribution.bernoulli(0.5), n)
+        too_large = lambda ss: n * LOG2 + 1e-6
+        for mode in ("exact", "mc"):
+            with pytest.raises(RuntimeError, match="exceeds n log 2"):
+                cmi_distributional(AlgorithmKernel.constant(), sampler, mode=mode, evaluator=too_large)
+
     def test_mc_ci_covers_exact_value(self):
         # 95% CI should cover the enumerated truth in >= 90 of 100 seeded reps
         kernel = randomized_response(0.3, 2)
@@ -568,13 +576,16 @@ class TestThresholdSixteenPointDomain:
 
 
 @st.composite
-def table_kernels(draw):
-    """A supersample with n <= 4 rows over a few (possibly repeated) points, a
-    kernel that maps each selected dataset to a drawn row of output weights
-    (one-hot rows for a deterministic kernel), and a loss table."""
-    n = draw(st.integers(1, 4))
-    points = st.integers(0, 3)
-    ss = Supersample(tuple((draw(points), draw(points)) for _ in range(n)))
+def table_kernels(draw, ss=None):
+    """A supersample with n <= 4 rows over a few (possibly repeated) points
+    (or the given one), a kernel that maps each selected dataset to a drawn
+    row of output weights (one-hot rows for a deterministic kernel), and a
+    loss table."""
+    if ss is None:
+        n = draw(st.integers(1, 4))
+        points = st.integers(0, 3)
+        ss = Supersample(tuple((draw(points), draw(points)) for _ in range(n)))
+    n = ss.n
     width = draw(st.integers(1, 4))
     weights = st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(any)
     rows = draw(st.lists(weights, min_size=2**n, max_size=2**n))
@@ -608,3 +619,26 @@ def test_cmi_variants_are_ordered(case):
     assert -1e-9 <= ecmi <= cmi + 1e-9
     assert cmi <= ucmi + 1e-9
     assert ucmi <= cap + 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table_kernels(), st.data())
+def test_postprocess_never_raises_cmi(case, data):
+    ss, kernel, width, _ = case
+    targets = data.draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 3), min_size=targets, max_size=targets).filter(any)
+    mapping = {}
+    for w in range(width):
+        row = data.draw(weights)
+        mapping[w] = {t: m / sum(row) for t, m in enumerate(row) if m}
+    processed = cmi_exact_fixed(ss, postprocess(kernel, mapping)).value
+    assert processed <= cmi_exact_fixed(ss, kernel).value + 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_pair_is_subadditive(data):
+    ss, a1, _, _ = data.draw(table_kernels())
+    _, a2, _, _ = data.draw(table_kernels(ss))
+    both = cmi_exact_fixed(ss, compose_pair(a1, a2)).value
+    assert both <= cmi_exact_fixed(ss, a1).value + cmi_exact_fixed(ss, a2).value + 1e-9

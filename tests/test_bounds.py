@@ -24,7 +24,6 @@ from cmi_lab.bounds import (
     golden_section_min,
     population_auroc,
     positive_rate,
-    with_fingerprint,
     zero_one_loss,
 )
 from cmi_lab.harness import grid_threshold_distribution
@@ -366,17 +365,6 @@ class TestCheckTheorem:
             "agnostic-expected", cmi, self.fake_gap(), 100, rhs_override=0.001
         )
         assert not report.satisfied
-
-    def test_fingerprint_mismatch_rejected(self):
-        cmi = with_fingerprint(CmiEstimate(value=1.0, method="exact"), "exp-a")
-        gap = with_fingerprint(self.fake_gap(), "exp-b")
-        with pytest.raises(ValueError):
-            check_theorem("agnostic-expected", cmi, gap, 100)
-
-    def test_matching_fingerprints_accepted(self):
-        cmi = with_fingerprint(CmiEstimate(value=1.0, method="exact"), "exp-a")
-        gap = with_fingerprint(self.fake_gap(), "exp-a")
-        assert check_theorem("agnostic-expected", cmi, gap, 100).satisfied
 
     def test_realizable_zero_requires_zero_empirical(self):
         cmi = CmiEstimate(value=1.0, method="exact")

@@ -125,16 +125,15 @@ class TestRunSuite:
         assert parsed.config_hash == report.config_hash
         assert parsed.version == report.version
 
+    def test_bundled_suite_json_parses_to_an_equal_report(self):
+        report = run_suite(bundled_suite_path())
+        assert SuiteReport.from_json_obj(json.loads(emit(report, "json", None))) == report
+
     def test_csv_one_row_per_experiment_theorem_pair(self):
         cfg = small_config(theorems=["agnostic-expected", "agnostic-absolute"])
         report = run_suite(cfg)
         lines = emit(report, "csv", None).splitlines()
         assert len(lines) == 1 + 2
-
-    def test_fingerprints_attached(self):
-        report = run_suite(small_config())
-        est = report.experiments[0].cmi["exact"]
-        assert est.fingerprint and "tiny" in est.fingerprint
 
 
 class TestCli:
@@ -276,6 +275,15 @@ class TestCli:
     def test_missing_config_is_config_error(self):
         assert cli.main(["suite", "--config", "/no/such/file.json"]) == 2
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(small_config()))
+        for out in (tmp_path / "no-such-dir" / "r.csv", tmp_path):
+            for command in ("suite", "cmi"):
+                assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2, (command, out)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
     def test_single_computation_commands(self, tmp_path, capsys):
         cfg = tmp_path / "one.json"
         cfg.write_text(json.dumps(small_config()))
@@ -335,6 +343,7 @@ class TestBoundFamilies:
             {"family": "made-up", "params": {}},
             {"family": "auroc", "params": {"epsilon": 2.0, "p": 0.5, "n": 10, "cmi": 1.0}},
             {"family": "agnostic", "params": {"kind": "nope", "cmi": 1.0, "n": 10}},
+            {"family": "agnostic", "params": {"kind": "expected", "cmi": 1.0, "n": 10, "scal": 4.0}},
         ):
             path = tmp_path / "b.json"
             path.write_text(json.dumps(spec))

@@ -340,9 +340,14 @@ class TestCompression:
 
 class TestPathologicalErm:
     def test_round_trip_decoding(self):
-        ds = ((0.31, 0), (0.47, 1), (0.12, 0), (0.55, 1))
-        h = pathological_erm(ds, grid_decimals=2)
-        assert decode_dataset(h.t, 2) == ds
+        for ds in (
+            ((0.31, 0), (0.47, 1), (0.12, 0), (0.55, 1)),
+            ((0.31, 0), (0.47, 1), (0.12, 0)),
+            ((0.31, 1), (0.0, 0)),
+            ((0.0, 0),) * 10,
+        ):
+            h = pathological_erm(ds, grid_decimals=2)
+            assert decode_dataset(h.t, 2) == ds
 
     def test_deterministic(self):
         ds = ((0.2, 1), (0.9, 0))
