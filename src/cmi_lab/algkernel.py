@@ -13,7 +13,9 @@ given the selector available in full, so the selection information
 can be computed exactly by enumerating the 2^n selectors -- or, for a
 deterministic kernel that declares a fold over its input points, by
 counting its outputs row by row over the distinct fold states, with the
-same integer counts.  On top of that single primitive the module builds:
+same integer counts; or, for a kernel that declares itself a product over
+positions (``rows``), as the sum of one-row values.  On top of that single
+primitive the module builds:
 
 * ``cmi_exact_fixed``        -- exact value for one fixed supersample;
 * ``cmi_distributional``     -- expectation over supersamples, exact by full
@@ -23,8 +25,9 @@ same integer counts.  On top of that single primitive the module builds:
   supersamples, flagged as a lower bound on the true supremum;
 * ``ucmi_fixed``             -- the worst case over *all* selector laws,
   which equals the capacity of the channel s -> A(z_s): log of the reachable
-  output count for a deterministic kernel, else solved by Blahut-Arimoto
-  with a monotone lower-bound bracket;
+  output count for a deterministic kernel, a sum of one-row capacities for
+  a product kernel, else solved by Blahut-Arimoto on the channel's sparse
+  rows with a monotone lower-bound bracket;
 * ``ecmi_fixed``             -- the evaluated variant, where outputs are
   first pushed through a loss table over all 2n supersample points;
 * ``compose_pair`` / ``compose_adaptive`` / ``postprocess`` -- kernel
@@ -174,6 +177,17 @@ class AlgorithmKernel:
     same exception type where ``raw_map`` raises.  States must be hashable.
     The exact engines then count labels by a row-by-row pass over the
     distinct states instead of 2^n fits.
+
+    ``rows = (row_kernel, n)`` optionally declares the kernel a product
+    over positions: ``evaluate`` accepts only datasets of size n, and for
+    each such z ``evaluate(z)`` is the product law of ``row_kernel((z_i,))``
+    over i, with labels the tuples (w_1, ..., w_n).  The selector bits and
+    the output positions then pair up into independent channels, so CMI and
+    UCMI are sums of one-row values, each computed on ``Supersample((row,))``
+    with ``row_kernel`` (whose universe checks the outputs), after checking
+    that the supersample has n rows.  The engines read ``rows`` instead of
+    ``evaluate``, so a copy that replaces ``evaluate`` must replace ``rows``
+    too, or set it to None.  Build such kernels with :meth:`product`.
     """
 
     evaluate: Callable[[tuple[Any, ...]], FiniteDistribution]
@@ -182,6 +196,7 @@ class AlgorithmKernel:
     certificate: Any = None
     raw_map: Callable[[tuple[Any, ...]], Any] | None = None
     fold: tuple[Any, Callable[[Any, Any], Any], Callable[[Any], Any]] | None = None
+    rows: tuple[AlgorithmKernel, int] | None = None
 
     def __post_init__(self) -> None:
         if self.fold is not None and self.raw_map is None:
@@ -224,6 +239,33 @@ class AlgorithmKernel:
             raw_map=fn,
             fold=fold,
         )
+
+    @classmethod
+    def product(
+        cls,
+        rows: "AlgorithmKernel",
+        n: int,
+        name: str = "",
+        certificate: Any = None,
+    ) -> "AlgorithmKernel":
+        """The kernel releasing ``rows((z_i,))`` independently at every
+        position i of a size-n dataset, declared through ``rows``.
+        ``evaluate`` lists the product atoms with position 0 varying
+        fastest."""
+
+        def evaluate(ds: tuple[Any, ...]) -> FiniteDistribution:
+            if len(ds) != n:
+                raise ValueError(f"dataset size {len(ds)} != n={n}")
+            laws = [[(w, m) for w, m in rows((z,)).atoms if m > 0.0] for z in reversed(ds)]
+            atoms = []
+            for combo in itertools.product(*laws):
+                mass = 1.0
+                for _, m in combo:
+                    mass *= m
+                atoms.append((tuple(w for w, _ in reversed(combo)), mass))
+            return FiniteDistribution(tuple(atoms))
+
+        return cls(evaluate=evaluate, name=name, certificate=certificate, rows=(rows, n))
 
     @classmethod
     def constant(cls, label: Any = "w0") -> "AlgorithmKernel":
@@ -327,38 +369,60 @@ def selected_datasets(supersample: Supersample, cap: int = SELECTOR_CAP) -> Iter
     return (ds[::-1] for ds in itertools.product(*reversed(supersample.grid)))
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelRows:
+    """A row-stochastic matrix by its nonzero entries, in CSR form: row x
+    holds ``masses[indptr[x]:indptr[x + 1]]`` at columns
+    ``indices[indptr[x]:indptr[x + 1]]``, out of ``columns`` columns."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    masses: np.ndarray
+    columns: int
+
+    def dense(self) -> np.ndarray:
+        mat = np.zeros((len(self.indptr) - 1, self.columns))
+        mat[self.row_of(), self.indices] = self.masses
+        return mat
+
+    def row_of(self) -> np.ndarray:
+        """The row index of every stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
+def channel_rows(
+    supersample: Supersample, kernel: AlgorithmKernel
+) -> tuple[ChannelRows, list[Any]]:
+    """Conditional law P(w | s) as sparse rows over the reachable outputs.
+
+    Rows are selectors in integer order, streamed from
+    :func:`selected_datasets`; columns are output labels in first
+    encountered order (deterministic because selectors are enumerated in a
+    fixed order).  Only the positive masses are stored.
+    """
+    columns: dict[Any, int] = {}
+    indptr = [0]
+    indices: list[int] = []
+    masses: list[float] = []
+    for ds in selected_datasets(supersample):
+        for label, mass in kernel.evaluate(ds).atoms:
+            if mass > 0.0:
+                indices.append(columns.setdefault(label, len(columns)))
+                masses.append(mass)
+        indptr.append(len(indices))
+    kernel.check_outputs(columns)
+    rows = ChannelRows(
+        np.array(indptr), np.array(indices, dtype=np.intp), np.array(masses, dtype=float), len(columns)
+    )
+    return rows, list(columns)
+
+
 def channel_matrix(
     supersample: Supersample, kernel: AlgorithmKernel
 ) -> tuple[np.ndarray, list[Any]]:
-    """Conditional law P(w | s) as a dense 2^n x |W_reachable| matrix.
-
-    Rows are selectors in integer order; columns are output labels in first
-    encountered order (deterministic because selectors are enumerated in a
-    fixed order).  Only Blahut-Arimoto needs dense rows; the others stream.
-    """
-    columns: dict[Any, int] = {}
-    rows = [
-        [(columns.setdefault(label, len(columns)), mass)
-         for label, mass in kernel.evaluate(ds).atoms if mass > 0.0]
-        for ds in selected_datasets(supersample)
-    ]
-    kernel.check_outputs(columns)
-    mat = np.zeros((len(rows), len(columns)))
-    for i, entries in enumerate(rows):
-        for j, mass in entries:
-            mat[i, j] = mass
-    return mat, list(columns)
-
-
-def mi_uniform_input(conditional: np.ndarray) -> float:
-    """I(input; output) for a row-stochastic matrix with uniform input; the
-    dense reference the streamed engine is tested against."""
-    rows = conditional.shape[0]
-    marginal = conditional.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(conditional) - np.log(marginal)[None, :]
-        terms = np.where(conditional > 0.0, conditional * ratio, 0.0)
-    return float(terms.sum() / rows)
+    """:func:`channel_rows` as a dense 2^n x |W_reachable| matrix."""
+    rows, outputs = channel_rows(supersample, kernel)
+    return rows.dense(), outputs
 
 
 def _merged(pairs: Iterable[tuple[Any, float]], key: Callable[[Any], Any]) -> dict[Any, float]:
@@ -423,6 +487,32 @@ def _label_counts(
     return counts
 
 
+def _row_kernel(supersample: Supersample, kernel: AlgorithmKernel) -> AlgorithmKernel:
+    """The one-row kernel of a product kernel, after checking that the
+    supersample has the n rows its ``evaluate`` accepts."""
+    row_kernel, n = kernel.rows  # type: ignore[misc]
+    if supersample.n != n:
+        raise ValueError(f"dataset size {supersample.n} != n={n}")
+    return row_kernel
+
+
+def _row_sum(
+    supersample: Supersample, one_row: Callable[[Supersample], tuple[float, int]]
+) -> tuple[float, int]:
+    """(sum of values, product of reachable counts) of ``one_row`` over the
+    one-row supersamples of ``supersample``, each distinct row computed once.
+    For a product kernel these are its value and reachable output count."""
+    per_row: dict[tuple[Any, Any], tuple[float, int]] = {}
+    value, reachable = 0.0, 1
+    for row in supersample.grid:
+        if row not in per_row:
+            per_row[row] = one_row(Supersample((row,)))
+        row_value, row_reachable = per_row[row]
+        value += row_value
+        reachable *= row_reachable
+    return value, reachable
+
+
 def _selection_information(
     supersample: Supersample,
     kernel: AlgorithmKernel,
@@ -438,8 +528,12 @@ def _selection_information(
     :func:`_label_counts` as exact integer counts (its rows have zero
     entropy); any other kernel adds its probability row per selector.
     ``relabel`` merges outputs by a deterministic key before the entropies
-    are taken.
+    are taken.  Without ``relabel``, a product kernel's value is the sum of
+    its one-row values (independent selector bits feed independent rows).
     """
+    if relabel is None and kernel.rows is not None:
+        rows = _row_kernel(supersample, kernel)
+        return _row_sum(supersample, lambda ss: _selection_information(ss, rows))
     total = 2**supersample.n
     marginal: dict[Any, float]
     row_entropy = 0.0
@@ -472,7 +566,8 @@ def cmi_exact_fixed(
     """Exact selection information I(A(z_s); S) for one fixed supersample.
 
     Enumerates all 2^n selectors, or for a kernel with a fold its states row
-    by row (``selector_cap`` then caps the states held).  For deterministic
+    by row (``selector_cap`` then caps the states held), or for a product
+    kernel the two selectors of each distinct row.  For deterministic
     kernels this reduces to the entropy of the output under a uniform
     selector; in general it is H(output) - H(output | S) accumulated from
     the kernel's distribution tables.
@@ -605,41 +700,81 @@ class BlahutArimotoResult:
     lower_bounds: tuple[float, ...] = field(repr=False, default=())
 
 
-def blahut_arimoto(
-    channel: np.ndarray, tol: float = 1e-9, max_iters: int = 200_000
-) -> BlahutArimotoResult:
-    """Capacity of a discrete memoryless channel (rows = inputs, stochastic).
-
-    Alternating maximization from the uniform input with the multiplicative
-    update r(x) <- r(x) e^{D_x} / Z, where D_x = KL(p(.|x) || q_r).  At every
-    iterate sum_x r(x) D_x <= C <= max_x D_x; iteration stops once the
-    bracket is within ``tol``.  The per-iteration lower bounds are monotone
-    nondecreasing and the returned capacity is the final lower bound.
-    """
-    mat = np.asarray(channel, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError(f"channel must be a nonempty 2-D matrix, got {mat.shape}")
-    if np.any(mat < -1e-12):
+def _checked_channel(channel: np.ndarray | ChannelRows) -> np.ndarray | ChannelRows:
+    """The channel after checking that it is a nonempty row-stochastic
+    matrix, with every row renormalized to sum to 1; :class:`ChannelRows`
+    keep only their positive entries."""
+    dense = not isinstance(channel, ChannelRows)
+    masses = np.asarray(channel if dense else channel.masses, dtype=float)
+    shape = masses.shape if dense else (len(channel.indptr) - 1, channel.columns)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"channel must be a nonempty 2-D matrix, got {shape}")
+    if not np.all(np.isfinite(masses)):
+        raise ValueError("channel has non-finite entries")
+    if np.any(masses < -1e-12):
         raise ValueError("channel has negative entries")
-    row_sums = mat.sum(axis=1)
+    if dense:
+        row_sums = masses.sum(axis=1)
+    else:
+        row_of = channel.row_of()
+        row_sums = np.bincount(row_of, weights=masses, minlength=shape[0])
     if np.any(np.abs(row_sums - 1.0) > 1e-9):
         raise ValueError("channel rows must each sum to 1")
-    mat = np.clip(mat, 0.0, None) / row_sums[:, None]
+    if dense:
+        return np.clip(masses, 0.0, None) / row_sums[:, None]
+    keep = masses > 0.0
+    return ChannelRows(
+        np.concatenate(([0], np.cumsum(np.bincount(row_of[keep], minlength=shape[0])))),
+        channel.indices[keep],
+        masses[keep] / row_sums[row_of[keep]],
+        channel.columns,
+    )
 
-    m = mat.shape[0]
+
+def blahut_arimoto(
+    channel: np.ndarray | ChannelRows, tol: float = 1e-9, max_iters: int = 200_000
+) -> BlahutArimotoResult:
+    """Capacity of a discrete memoryless channel (rows = inputs, stochastic),
+    given as a dense matrix or as :class:`ChannelRows`.
+
+    Alternating maximization from the uniform input with the multiplicative
+    update r(x) <- r(x) e^{D_x} / Z, where D_x = KL(p(.|x) || q_r) is taken
+    in matvec form,
+    D_x = sum_y p(y|x) log p(y|x) - sum_y p(y|x) log q_r(y), so an iteration
+    on :class:`ChannelRows` costs O(nnz).  At every iterate sum_x r(x) D_x <= C <= max_x D_x;
+    iteration stops once the bracket is within ``tol``.  The per-iteration
+    lower bounds are monotone nondecreasing and the returned capacity is the
+    final lower bound.
+    """
+    chan = _checked_channel(channel)
+    if isinstance(chan, ChannelRows):
+        m, starts, cols, p = len(chan.indptr) - 1, chan.indptr[:-1], chan.indices, chan.masses
+        row_of = chan.row_of()
+        # every row keeps at least one entry, so reduceat sums each row exactly
+        neg_entropy = np.add.reduceat(p * np.log(p), starts)
+
+        def forward(r: np.ndarray) -> np.ndarray:  # r @ P
+            return np.bincount(cols, weights=p * r[row_of], minlength=chan.columns)
+
+        def backward(v: np.ndarray) -> np.ndarray:  # P @ v
+            return np.add.reduceat(p * v[cols], starts)
+
+    else:
+        m = chan.shape[0]
+        # p = 0 terms vanish: log p is taken as 0 there
+        neg_entropy = np.sum(chan * np.log(chan, out=np.zeros_like(chan), where=chan > 0.0), axis=1)
+        forward, backward = chan.__rmatmul__, chan.__matmul__
     if m == 1:
         return BlahutArimotoResult(0.0, np.ones(1), 0, (0.0, 0.0), (0.0,))
 
-    log_mat = np.where(mat > 0.0, np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
     r = np.full(m, 1.0 / m)
     lower_bounds: list[float] = []
     bracket = (0.0, math.inf)
     for iteration in range(1, max_iters + 1):
-        q = r @ mat
-        with np.errstate(divide="ignore"):
-            log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-        # D_x = sum_y p(y|x) (log p(y|x) - log q(y)); p=0 terms vanish.
-        d = np.einsum("xy,xy->x", mat, np.where(mat > 0.0, log_mat - log_q[None, :], 0.0))
+        q = forward(r)
+        # columns with q = 0 carry log q = 0, as their p = 0 terms vanish
+        log_q = np.log(q, out=np.zeros_like(q), where=q > 0.0)
+        d = neg_entropy - backward(log_q)
         lower = float(r @ d)
         upper = float(d.max())
         lower_bounds.append(lower)
@@ -652,13 +787,28 @@ def blahut_arimoto(
                 bracket=bracket,
                 lower_bounds=tuple(lower_bounds),
             )
-        shifted = d - d.max()
-        r = r * np.exp(shifted)
+        r = r * np.exp(d - upper)
         r = r / r.sum()
     raise ConvergenceError(
         f"capacity bracket {bracket} still wider than {tol} after {max_iters} iterations",
         bracket,
     )
+
+
+def _capacity(
+    supersample: Supersample, kernel: AlgorithmKernel, tol: float, max_iters: int
+) -> tuple[float, int]:
+    """The capacity of s -> A(z_s) with the number of reachable outputs; a
+    product kernel's is the sum of its one-row capacities, each solved to
+    ``tol / n`` so that the sum stays within ``tol``."""
+    if kernel.rows is not None:
+        rows, row_tol = _row_kernel(supersample, kernel), tol / supersample.n
+        return _row_sum(supersample, lambda ss: _capacity(ss, rows, row_tol, max_iters))
+    if kernel.raw_map is not None:
+        reachable = len(_label_counts(supersample, kernel))
+        return math.log(reachable), reachable
+    channel, outputs = channel_rows(supersample, kernel)
+    return blahut_arimoto(channel, tol=tol, max_iters=max_iters).capacity, len(outputs)
 
 
 def ucmi_fixed(
@@ -669,20 +819,16 @@ def ucmi_fixed(
 ) -> CmiEstimate:
     """Universal CMI for one fixed supersample: the supremum of I(A(z_S); S)
     over arbitrary selector laws, i.e. the capacity of the channel
-    s -> A(z_s), computed by Blahut-Arimoto.
+    s -> A(z_s), computed by Blahut-Arimoto on its sparse rows.
 
     The first Blahut-Arimoto lower bound is exactly the uniform-selector
     value, so the result always dominates ``cmi_exact_fixed`` up to ``tol``.
     A deterministic kernel's channel is noiseless, so its capacity is
-    log(#reachable outputs), taken from the label counts with no matrix.
+    log(#reachable outputs), taken from the label counts with no channel.
+    A product kernel's channel is a product of independent one-row
+    channels, whose capacities add.
     """
-    if kernel.raw_map is not None:
-        reachable = len(_label_counts(supersample, kernel))
-        value = math.log(reachable)
-    else:
-        mat, outputs = channel_matrix(supersample, kernel)
-        value = blahut_arimoto(mat, tol=tol, max_iters=max_iters).capacity
-        reachable = len(outputs)
+    value, reachable = _capacity(supersample, kernel, tol, max_iters)
     _validate_cmi_value(value, supersample.n, reachable)
     return CmiEstimate(value=value, method="exact")
 

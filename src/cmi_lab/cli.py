@@ -133,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound":
             with open(args.config) as fh:
                 spec = json.load(fh)
+            if not isinstance(spec, dict):
+                raise ConfigError("bound config must be a JSON object with 'family' and 'params'")
             family = spec.get("family")
             if family not in _BOUND_FAMILIES:
                 raise ConfigError(f"unknown bound family {family!r}")

@@ -217,6 +217,9 @@ class TheoremRequest:
 
 
 def _resolve(registry: Mapping[str, Callable[[Mapping[str, Any]], Any]], kind: str, spec: Mapping[str, Any]) -> Any:
+    """The component that ``spec``, the config's ``kind`` entry, names."""
+    if not isinstance(spec, Mapping):
+        raise TypeError(f"{kind!r} must be a JSON object with an 'id', got {spec!r}")
     if spec["id"] not in registry:
         raise UnknownComponentError(f"unknown {kind} id {spec['id']!r}")
     return registry[spec["id"]](dict(spec.get("params", {})))
@@ -507,7 +510,7 @@ def load_config(source: str | Mapping[str, Any]) -> tuple[dict, list[ExperimentC
     else:
         with open(source) as fh:
             obj = json.load(fh)
-    if not isinstance(obj, dict) or "experiments" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("experiments"), list):
         raise ConfigError("config must be a JSON object with an 'experiments' list")
     configs = []
     for i, entry in enumerate(obj["experiments"]):

@@ -472,6 +472,8 @@ def compression_wrap(
 GUARD_DIGITS = 6
 _MAX_COORD_DIGITS = 6
 _MAX_POINTS = 99
+#: digits of the longest payload: marker, count and _MAX_POINTS points
+_MAX_PAYLOAD_DIGITS = 3 + _MAX_POINTS * (_MAX_COORD_DIGITS + 1)
 
 
 def _grid_int(x: Any, grid_decimals: int) -> int:
@@ -531,6 +533,8 @@ def decode_dataset(t: Fraction, grid_decimals: int) -> Dataset:
         raise ValueError("threshold carries no payload")
     digits: list[str] = []
     while frac:
+        if len(digits) == _MAX_PAYLOAD_DIGITS:
+            raise ValueError(f"threshold payload runs past {_MAX_PAYLOAD_DIGITS} digits")
         frac *= 10
         d = int(frac)
         digits.append(str(d))

@@ -136,28 +136,23 @@ class StabilityCertificate:
 def randomized_response(p: float, n: int) -> AlgorithmKernel:
     """Kernel releasing each input bit independently flipped with prob p.
 
-    Inputs are bit-valued data points; outputs are length-n bit tuples.
+    Inputs are bit-valued data points; outputs are length-n bit tuples.  It
+    is declared as the product of one bit flip per position, whose outputs
+    are checked against {0, 1}, so the engines never list the 2^n words.
     Carries a DP certificate at epsilon = log((1-p)/p).
     """
     params = DpParams.from_flip_prob(p)
-    # little-endian enumeration so column order matches selector integers
-    universe = tuple(tuple((v >> i) & 1 for i in range(n)) for v in range(2**n))
 
-    def evaluate(ds: tuple[Any, ...]) -> FiniteDistribution:
-        if len(ds) != n:
-            raise ValueError(f"dataset size {len(ds)} != n={n}")
-        bits = tuple(int(b) for b in ds)
-        if any(b not in (0, 1) for b in bits):
+    def flip(ds: tuple[Any, ...]) -> FiniteDistribution:
+        (point,) = ds
+        bit = int(point)
+        if bit not in (0, 1):
             raise ValueError("randomized response expects bit-valued data points")
-        atoms = []
-        for w in universe:
-            flips = sum(1 for a, b in zip(bits, w) if a != b)
-            atoms.append((w, p**flips * (1.0 - p) ** (n - flips)))
-        return FiniteDistribution(tuple(atoms))
+        return FiniteDistribution(((0, p if bit else 1.0 - p), (1, 1.0 - p if bit else p)))
 
-    return AlgorithmKernel(
-        evaluate=evaluate,
-        output_universe=universe,
+    return AlgorithmKernel.product(
+        AlgorithmKernel(evaluate=flip, output_universe=(0, 1), name=f"bit-flip(p={p})"),
+        n,
         name=f"randomized-response(p={p})",
         certificate=StabilityCertificate(notion="DP", parameter=params.epsilon, n=n),
     )

@@ -178,6 +178,8 @@ class TestCli:
             "n-zero": small_config(n=0),
             "n-negative": small_config(n=-3),
             "non-object-experiment": {"experiments": [3]},
+            "experiments-not-a-list": {"experiments": 3},
+            "distribution-not-an-object": small_config(distribution="x"),
             "parity-feature-length": small_config(
                 learner={"id": "parity", "params": {"d": 2}},
                 distribution={"id": "parity_uniform", "params": {"w_star": [1, 0, 1]}},
@@ -247,6 +249,13 @@ class TestCli:
             if name in theorem_cases or name in needs_data:
                 theorem = theorem_cases[name][0] if name in theorem_cases else "realizable-zero"
                 assert f"'tiny': theorem '{theorem}'" in err, (name, err)
+            if name == "distribution-not-an-object":
+                assert "'distribution' must be a JSON object" in err, err
+        path = tmp_path / "bound-not-an-object.json"
+        path.write_text(json.dumps([1, 2]))
+        assert cli.main(["bound", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         # the gap command estimates a gap whatever theorems are listed
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(small_config(trials=99, theorems=["auroc"])))

@@ -348,6 +348,15 @@ class TestPathologicalErm:
         ):
             h = pathological_erm(ds, grid_decimals=2)
             assert decode_dataset(h.t, 2) == ds
+        # a float threshold, one with no payload, and one whose decimal
+        # expansion never ends
+        for t, error in (
+            (0.305, TypeError),
+            (Fraction(1, 2), ValueError),
+            (Fraction(1, 100) - Fraction(1, 3 * 10**9), ValueError),
+        ):
+            with pytest.raises(error):
+                decode_dataset(t, 2)
 
     def test_deterministic(self):
         ds = ((0.2, 1), (0.9, 0))
