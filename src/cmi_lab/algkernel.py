@@ -14,13 +14,15 @@ can be computed exactly by enumerating the 2^n selectors -- or, for a
 deterministic kernel that declares a fold over its input points, by
 counting its outputs row by row over the distinct fold states, with the
 same integer counts; or, for a kernel that declares itself a product over
-positions (``rows``), as the sum of one-row values.  On top of that single
-primitive the module builds:
+positions (``rows``), as the sum of one-row values; or, for a kernel that
+declares itself injective (``injective``), as log 2 per row whose two
+entries differ.  On top of that single primitive the module builds:
 
 * ``cmi_exact_fixed``        -- exact value for one fixed supersample;
-* ``cmi_distributional``     -- expectation over supersamples, exact by full
-  enumeration of a finite point distribution or by Monte Carlo with a 95%
-  normal-approximation confidence interval;
+* ``cmi_distributional``     -- expectation over supersamples, exact by
+  enumerating a finite point distribution's supersamples up to row swaps
+  (and, for an ``exchangeable`` kernel, row permutations) or by Monte Carlo
+  with a 95% normal-approximation confidence interval;
 * ``cmi_distribution_free``  -- a max over caller-supplied candidate
   supersamples, flagged as a lower bound on the true supremum;
 * ``ucmi_fixed``             -- the worst case over *all* selector laws,
@@ -188,6 +190,32 @@ class AlgorithmKernel:
     that the supersample has n rows.  The engines read ``rows`` instead of
     ``evaluate``, so a copy that replaces ``evaluate`` must replace ``rows``
     too, or set it to None.  Build such kernels with :meth:`product`.
+
+    ``injective = key`` optionally declares ``raw_map`` injective on ordered
+    datasets up to ``key(point)``: for datasets z, z' of one size on which
+    it returns, ``raw_map(z) == raw_map(z')`` exactly when
+    ``key(z_i)`` and ``key(z'_i)`` are equal as dict keys at every position
+    i.  ``raw_map`` must also raise on some dataset selected from a
+    supersample only if it raises on one of the two corner datasets (all
+    column 0, all column 1).  The 2^k outputs, k the number of rows whose
+    entries have different keys, are then equally likely, so CMI and UCMI
+    are k log 2 in O(n): the engines fit the two corners and take the keys,
+    and if any of that raises they take the ordered path, which raises what
+    brute force raises.  ECMI still counts.  The declaration needs a
+    ``raw_map`` and no ``output_universe``, since no output but the
+    corners' is built to check.
+
+    ``exchangeable = True`` declares that the output does not depend on the
+    order of the dataset's points: for every permutation of z, ``raw_map``
+    (or ``evaluate``, for a stochastic kernel) returns the same output (the
+    same law) as on z, or both raise.  The exception types may differ.
+    Exact distributional CMI then enumerates multisets of rows, and still
+    raises what ordered enumeration raises (see :func:`cmi_distributional`).
+
+    ``dataclasses.replace`` keeps ``fold``, ``rows``, ``injective`` and
+    ``exchangeable``, so a copy that replaces ``raw_map`` or ``evaluate``
+    must replace them too, or reset them.  The combinators build fresh
+    kernels and so drop every declaration.
     """
 
     evaluate: Callable[[tuple[Any, ...]], FiniteDistribution]
@@ -197,10 +225,14 @@ class AlgorithmKernel:
     raw_map: Callable[[tuple[Any, ...]], Any] | None = None
     fold: tuple[Any, Callable[[Any, Any], Any], Callable[[Any], Any]] | None = None
     rows: tuple[AlgorithmKernel, int] | None = None
+    injective: Callable[[Any], Any] | None = None
+    exchangeable: bool = False
 
     def __post_init__(self) -> None:
         if self.fold is not None and self.raw_map is None:
             raise ValueError("a fold needs the raw_map it folds")
+        if self.injective is not None and (self.raw_map is None or self.output_universe is not None):
+            raise ValueError("an injective declaration needs a raw_map and no output_universe")
         universe = None if self.output_universe is None else frozenset(self.output_universe)
         object.__setattr__(self, "_universe", universe)
 
@@ -228,9 +260,12 @@ class AlgorithmKernel:
         name: str = "",
         certificate: Any = None,
         fold: tuple[Any, Callable[[Any, Any], Any], Callable[[Any], Any]] | None = None,
+        injective: Callable[[Any], Any] | None = None,
+        exchangeable: bool = False,
     ) -> "AlgorithmKernel":
         """Wrap a deterministic dataset -> label function, optionally with its
-        fold (see the class docstring), as a kernel."""
+        fold, injective key and exchangeability (see the class docstring),
+        as a kernel."""
         return cls(
             evaluate=lambda ds: FiniteDistribution.point_mass(fn(ds)),
             output_universe=output_universe,
@@ -238,6 +273,8 @@ class AlgorithmKernel:
             certificate=certificate,
             raw_map=fn,
             fold=fold,
+            injective=injective,
+            exchangeable=exchangeable,
         )
 
     @classmethod
@@ -269,12 +306,14 @@ class AlgorithmKernel:
 
     @classmethod
     def constant(cls, label: Any = "w0") -> "AlgorithmKernel":
-        return cls.deterministic_map(lambda ds: label, output_universe=(label,), name="constant")
+        return cls.deterministic_map(
+            lambda ds: label, output_universe=(label,), name="constant", exchangeable=True
+        )
 
     @classmethod
     def reveal_all(cls) -> "AlgorithmKernel":
         """Outputs its entire input dataset; the canonical maximal-CMI kernel."""
-        return cls.deterministic_map(lambda ds: ds, name="reveal-all")
+        return cls.deterministic_map(lambda ds: ds, name="reveal-all", injective=lambda point: point)
 
 
 @dataclass(frozen=True)
@@ -513,6 +552,23 @@ def _row_sum(
     return value, reachable
 
 
+def _injective_value(supersample: Supersample, kernel: AlgorithmKernel) -> tuple[float, int] | None:
+    """(k log 2, 2^k) for an injective kernel, k the number of rows whose two
+    entries have different keys: its uniform-selector information and its
+    capacity, with the reachable output count.  None when a corner fit or a
+    key raises, so that the caller's ordered path raises what brute force
+    raises."""
+    key, fit = kernel.injective, kernel.raw_map
+    try:
+        for column in (0, 1):
+            fit(tuple(row[column] for row in supersample.grid))  # type: ignore[misc]
+        # a set compares keys as the label counts' dict compares outputs
+        k = sum(1 for a, b in supersample.grid if len({key(a), key(b)}) == 2)  # type: ignore[misc]
+    except Exception:  # noqa: BLE001 - the ordered path raises it again
+        return None
+    return k * LOG2, 2**k
+
+
 def _selection_information(
     supersample: Supersample,
     kernel: AlgorithmKernel,
@@ -529,11 +585,16 @@ def _selection_information(
     entropy); any other kernel adds its probability row per selector.
     ``relabel`` merges outputs by a deterministic key before the entropies
     are taken.  Without ``relabel``, a product kernel's value is the sum of
-    its one-row values (independent selector bits feed independent rows).
+    its one-row values (independent selector bits feed independent rows),
+    and an injective kernel's is log 2 per row with two distinct keys.
     """
     if relabel is None and kernel.rows is not None:
         rows = _row_kernel(supersample, kernel)
         return _row_sum(supersample, lambda ss: _selection_information(ss, rows))
+    if relabel is None and kernel.injective is not None:
+        reduced = _injective_value(supersample, kernel)
+        if reduced is not None:
+            return reduced
     total = 2**supersample.n
     marginal: dict[Any, float]
     row_entropy = 0.0
@@ -567,7 +628,8 @@ def cmi_exact_fixed(
 
     Enumerates all 2^n selectors, or for a kernel with a fold its states row
     by row (``selector_cap`` then caps the states held), or for a product
-    kernel the two selectors of each distinct row.  For deterministic
+    kernel the two selectors of each distinct row, or for an injective
+    kernel only its two corner datasets (no cap applies).  For deterministic
     kernels this reduces to the entropy of the output under a uniform
     selector; in general it is H(output) - H(output | S) accumulated from
     the kernel's distribution tables.
@@ -614,6 +676,45 @@ def mean_ci(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), Z_95 * sd / math.sqrt(values.size)
 
 
+def weighted_supersamples(
+    support: Sequence[tuple[Any, float]], n: int, exchangeable: bool = False
+) -> Iterator[tuple[Supersample, float]]:
+    """The n-row supersamples over the s (point, mass) pairs of ``support``
+    up to symmetry, one per class with the class's probability under
+    D^{n x 2}, in lexicographic order of support indices.
+
+    Rows are unordered pairs, s(s+1)/2 row types: the row (a, b), a before
+    b in ``support``, stands for both of its orders, weight 2 m_a m_b, and
+    a row (a, a) weighs m_a^2.  ``exchangeable`` further yields one sorted
+    supersample per multiset of row types, weighted by its integer count of
+    orderings (multinomial times 2 per row of two distinct points) times
+    its masses.  Each yielded supersample is the lexicographically least
+    member of its class.  Selection information is constant on a class
+    (row swaps relabel the selector; row permutations too, for an
+    exchangeable kernel), so the weighted sum is the expectation over
+    D^{n x 2}.
+    """
+    row_types = [
+        ((a, b), ma * mb, 1 if i == j else 2)
+        for i, (a, ma) in enumerate(support)
+        for j, (b, mb) in enumerate(support)
+        if i <= j
+    ]
+    picks = range(len(row_types))
+    classes = itertools.combinations_with_replacement(picks, n) if exchangeable else itertools.product(picks, repeat=n)
+    for combo in classes:
+        count = 1
+        if exchangeable:
+            count = math.factorial(n)
+            for _, same in itertools.groupby(combo):
+                count //= math.factorial(len(list(same)))
+        mass = 1.0
+        for t in combo:
+            mass *= row_types[t][1]
+            count *= row_types[t][2]
+        yield Supersample(tuple(row_types[t][0] for t in combo)), count * mass
+
+
 def cmi_distributional(
     kernel: AlgorithmKernel,
     sampler: SupersampleSampler,
@@ -626,10 +727,20 @@ def cmi_distributional(
     """CMI with respect to a distribution: E over supersamples of the exact
     per-supersample selection information.
 
-    ``mode="exact"`` enumerates every supersample in supp(D)^{2n} (available
-    only when the term count fits the cap).  ``mode="mc"`` averages exact
-    inner values over sampled supersamples and reports a 95% confidence
-    interval.
+    ``mode="exact"`` sums over the supersamples of supp(D)^{2n}, available
+    only when their count fits the cap.  Swapping a row's two entries only
+    relabels the selector, so it leaves the inner value unchanged for every
+    kernel; permuting the rows leaves it unchanged for an ``exchangeable``
+    one.  The sum therefore runs over :func:`weighted_supersamples`, one
+    representative per class with the class's probability.  Errors are
+    those of ordered enumeration: a class's representative is its
+    lexicographically least member, and it raises exactly when the other
+    members do, so the first supersample that raises in ordered enumeration
+    is a representative, met first here too.  The cap counts the nominal
+    supp(D)^{2n} ordered supersamples, not the classes visited, so whether
+    a problem is accepted does not depend on what its kernel declares.
+    ``mode="mc"`` averages exact inner values over sampled supersamples and
+    reports a 95% confidence interval.
 
     ``evaluator`` optionally replaces the generic exact inner engine with a
     structure-specific exact evaluator (it must return the same number); the
@@ -653,13 +764,7 @@ def cmi_distributional(
                 f"{len(support)}^{2 * n} supersamples exceed the cap of "
                 f"{ENUMERATION_CAP}; exact mode infeasible"
             )
-        total = 0.0
-        for combo in itertools.product(support, repeat=2 * n):
-            weight = 1.0
-            for _, m in combo:
-                weight *= m
-            rows = tuple((combo[2 * i][0], combo[2 * i + 1][0]) for i in range(n))
-            total += weight * inner(Supersample(rows))
+        total = sum(w * inner(ss) for ss, w in weighted_supersamples(support, n, kernel.exchangeable))
         return CmiEstimate(value=total, method="exact")
     if mode == "mc":
         if trials < MIN_MC_TRIALS:
@@ -800,10 +905,15 @@ def _capacity(
 ) -> tuple[float, int]:
     """The capacity of s -> A(z_s) with the number of reachable outputs; a
     product kernel's is the sum of its one-row capacities, each solved to
-    ``tol / n`` so that the sum stays within ``tol``."""
+    ``tol / n`` so that the sum stays within ``tol``; an injective kernel's
+    is log 2 per row with two distinct keys."""
     if kernel.rows is not None:
         rows, row_tol = _row_kernel(supersample, kernel), tol / supersample.n
         return _row_sum(supersample, lambda ss: _capacity(ss, rows, row_tol, max_iters))
+    if kernel.injective is not None:
+        reduced = _injective_value(supersample, kernel)
+        if reduced is not None:
+            return reduced
     if kernel.raw_map is not None:
         reachable = len(_label_counts(supersample, kernel))
         return math.log(reachable), reachable
@@ -826,7 +936,8 @@ def ucmi_fixed(
     A deterministic kernel's channel is noiseless, so its capacity is
     log(#reachable outputs), taken from the label counts with no channel.
     A product kernel's channel is a product of independent one-row
-    channels, whose capacities add.
+    channels, whose capacities add.  An injective kernel's 2^k outputs are
+    all reachable, so its capacity is k log 2.
     """
     value, reachable = _capacity(supersample, kernel, tol, max_iters)
     _validate_cmi_value(value, supersample.n, reachable)

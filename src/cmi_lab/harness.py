@@ -67,7 +67,6 @@ from .learners import (
     parity_kernel,
     parity_population,
     pathological_kernel,
-    pathological_selection_entropy,
     threshold_kernel,
     threshold_selection_entropy,
 )
@@ -105,20 +104,22 @@ def _threshold_score(w, z) -> float:
     return float(x) if t == math.inf else float(x) - float(t)
 
 
-def _threshold_bundle(kernel: AlgorithmKernel, inner_mi: Callable[[Supersample], float]) -> LearnerBundle:
-    """Threshold learners take real features and score by distance to the cut."""
+def _threshold_bundle(kernel: AlgorithmKernel, inner_mi: Callable[[Supersample], float] | None = None) -> LearnerBundle:
+    """Threshold learners take real, non-NaN features and score by distance
+    to the cut."""
     return LearnerBundle(
         kernel=kernel,
         inner_mi=inner_mi,
         score_of=_threshold_score,
-        accepts=lambda x: isinstance(x, (int, float)),
+        accepts=lambda x: isinstance(x, (int, float)) and x == x,
     )
 
 
 def _make_pathological(params: Mapping[str, Any]) -> LearnerBundle:
-    """The threshold bundle, restricted to features on the encoder's grid."""
+    """The threshold bundle, restricted to features on the encoder's grid.
+    The engine's injective path gives its exact CMI in O(n)."""
     g = int(params.get("grid_decimals", 2))
-    bundle = _threshold_bundle(pathological_kernel(g), pathological_selection_entropy)
+    bundle = _threshold_bundle(pathological_kernel(g))
     return dataclasses.replace(
         bundle, accepts=lambda x: bundle.accepts(x) and on_grid(x, g), max_n=MAX_ENCODED_POINTS
     )

@@ -16,7 +16,9 @@ Datasets are tuples of ``(x, y)`` pairs with bit labels.  All learners are
 pure functions; the kernels built from them are deterministic.  The
 threshold and parity kernels also declare their learner as a fold over the
 points (``AlgorithmKernel.fold``), so the exact engines count their outputs
-row by row instead of fitting once per selector.
+row by row instead of fitting once per selector, and declare themselves
+exchangeable, so exact distributional CMI enumerates row multisets.  The
+pathological kernel declares itself injective, so its CMI takes two fits.
 
 Open problems deliberately not attempted here: whether every class of VC
 dimension d admits an *approximate* empirical risk minimizer whose
@@ -85,25 +87,36 @@ def threshold_learn(dataset: Sequence[LabeledPoint]) -> ThresholdHypothesis:
     """Threshold at the smallest positive example; all-zero if none exists.
 
     Consistent with the dataset whenever any threshold is.  Repeated x
-    values are fine; the minimum stays well defined.
+    values are fine; the minimum stays well defined.  A positive at a NaN
+    feature raises ValueError: it has no place in the order, and ``min``
+    would return it or not depending on where it stands.
     """
     positives = [x for x, y in dataset if y == 1]
+    if any(x != x for x in positives):
+        raise ValueError("a positive example has a NaN feature")
     return ThresholdHypothesis(min(positives) if positives else math.inf)
 
 
 def _threshold_step(t: Any, point: LabeledPoint) -> Any:
-    # compares like ``min``: the first positive is taken as is (even a NaN)
+    # compares like ``min``: the first of equal positives is kept
     x, y = point
-    return x if y == 1 and (t is None or x < t) else t
+    if y == 1:
+        if x != x:
+            raise ValueError("a positive example has a NaN feature")
+        if t is None or x < t:
+            return x
+    return t
 
 
 def threshold_kernel() -> AlgorithmKernel:
     """The min-positive learner; its fold state is the smallest positive x
-    so far, ``None`` before the first."""
+    so far, ``None`` before the first.  The minimum does not depend on the
+    order of the points, so the kernel is exchangeable."""
     return AlgorithmKernel.deterministic_map(
         threshold_learn,
         name="threshold",
         fold=(None, _threshold_step, lambda t: ThresholdHypothesis(math.inf if t is None else t)),
+        exchangeable=True,
     )
 
 
@@ -272,10 +285,15 @@ PARITY_FOLD_MAX_D = 12
 
 
 def parity_kernel(d: int) -> AlgorithmKernel:
+    """The least consistent parity.  It depends only on the set of points,
+    and whether a fit raises does not depend on their order, so the kernel
+    is exchangeable; which exception a malformed dataset raises
+    (``NotRealizableError`` or ``ValueError``) may."""
     return AlgorithmKernel.deterministic_map(
         lambda ds: parity_learn(ds, d),
         name=f"parity-d{d}",
         fold=parity_fold(d) if d <= PARITY_FOLD_MAX_D else None,
+        exchangeable=True,
     )
 
 
@@ -592,9 +610,15 @@ def pathological_erm(
 
 
 def pathological_kernel(grid_decimals: int = 2) -> AlgorithmKernel:
+    """The dataset-encoding ERM, declared injective up to a point's grid
+    integer and bit label: its payload spells out exactly those, in order,
+    so near-equal features on one grid cell give equal outputs.  Every fit
+    raises on a bad point or size, which one of a supersample's two corner
+    datasets always holds."""
     return AlgorithmKernel.deterministic_map(
         lambda ds: pathological_erm(ds, grid_decimals=grid_decimals),
         name="pathological-threshold",
+        injective=lambda point: (_grid_int(point[0], grid_decimals), int(point[1])),
     )
 
 
@@ -605,7 +629,10 @@ def pathological_selection_entropy(supersample: Supersample) -> float:
     The encoded payload determines the ordered input dataset, so outputs
     collide exactly when the selected datasets coincide; two selectors give
     the same dataset iff they agree on every row whose two entries differ.
-    Hence H = (#rows with distinct entries) * log 2.
+    Hence H = (#rows with distinct entries) * log 2.  Entries are compared
+    as points, so two features on one grid cell with one label count as
+    distinct here, though the learner encodes them alike; the engine's
+    injective path compares (grid int, label) keys and is exact there.
     """
     distinct_rows = sum(1 for a, b in supersample.grid if a != b)
     return distinct_rows * math.log(2.0)

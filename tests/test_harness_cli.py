@@ -108,6 +108,18 @@ class TestRunSuite:
             base.experiments[0].cmi["mc"].seed != other.experiments[0].cmi["mc"].seed
         )
 
+    def test_pathological_near_duplicates_carry_no_information(self):
+        # (0.31, 1) and (0.3100000001, 1) share a grid cell and a label, so
+        # the learner's output cannot tell them apart: CMI is 0 in both modes
+        atoms = [[[0.31, 1], 0.5], [[0.3100000001, 1], 0.5]]
+        cfg = small_config(
+            learner={"id": "pathological_threshold"},
+            distribution={"id": "finite", "params": {"atoms": atoms}},
+            cmi={"mode": "both", "trials": 20},
+        )
+        cmi = run_suite(cfg).experiments[0].cmi
+        assert cmi["exact"].value == cmi["mc"].value == 0.0
+
     def test_exact_mode_never_downgrades(self):
         cfg = small_config(n=30, cmi={"mode": "exact"})
         from cmi_lab.algkernel import ExactEnumerationError
@@ -183,6 +195,11 @@ class TestCli:
             "parity-feature-length": small_config(
                 learner={"id": "parity", "params": {"d": 2}},
                 distribution={"id": "parity_uniform", "params": {"w_star": [1, 0, 1]}},
+                cmi=mc,
+            ),
+            "threshold-nan-feature": small_config(
+                learner={"id": "threshold"},
+                distribution={"id": "finite", "params": {"atoms": [[[float("nan"), 1], 0.5], [[1.0, 0], 0.5]]}},
                 cmi=mc,
             ),
             "auroc-epsilon": small_config(
