@@ -352,11 +352,32 @@ class CmiEstimate:
         return cls(**{name: obj[key] for key, name in cls.JSON_FIELDS})
 
 
+#: ``rng.choice``'s tolerance on the sum of its probabilities
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def sampling_table(dist: FiniteDistribution) -> tuple[tuple[Any, ...], np.ndarray]:
-    """The labels of ``dist`` with their masses renormalized for ``rng.choice``."""
+    """The labels of ``dist`` with the CDF of their masses, built as
+    ``rng.choice`` builds it from p = masses / sum, and checked here once
+    as ``rng.choice`` would check p on every call."""
     labels = dist.labels()
     masses = np.array([dist.mass(lab) for lab in labels], dtype=float)
-    return labels, masses / masses.sum()
+    p = masses / masses.sum()
+    if not (p >= 0.0).all() or not abs(math.fsum(p) - 1.0) <= _CHOICE_ATOL:
+        raise ValueError(f"masses of {len(labels)} labels are not a probability vector")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return labels, cdf
+
+
+def draw_indices(cdf: np.ndarray, rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Label indices drawn i.i.d. from a :func:`sampling_table` CDF.
+
+    The indices, and the generator state afterwards, equal those of
+    ``rng.choice(len(p), size=shape, p=p)``: both draw ``rng.random(shape)``
+    and search the same CDF.
+    """
+    return cdf.searchsorted(rng.random(shape), side="right")
 
 
 @dataclass(frozen=True)
@@ -374,10 +395,9 @@ class SupersampleSampler:
         object.__setattr__(self, "_table", sampling_table(self.point_distribution))
 
     def draw(self, seed: int) -> Supersample:
-        labels, masses = self._table  # type: ignore[attr-defined]
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(labels), size=(self.n, 2), p=masses)
-        return Supersample(tuple((labels[i], labels[j]) for i, j in idx))
+        labels, cdf = self._table  # type: ignore[attr-defined]
+        idx = draw_indices(cdf, np.random.default_rng(seed), (self.n, 2))
+        return Supersample(tuple((labels[i], labels[j]) for i, j in idx.tolist()))
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution, n: int) -> "SupersampleSampler":

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._seeding import derive_seed
-from .algkernel import Z_95, CmiEstimate, SupersampleSampler, mean_ci, sampling_table
+from .algkernel import Z_95, CmiEstimate, SupersampleSampler, draw_indices, mean_ci, sampling_table
 from .info_core import LOG2, FiniteDistribution, Nats
 
 LOG3 = math.log(3.0)
@@ -366,10 +366,14 @@ class Population:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", sampling_table(self.points))
 
+    def draw_indices(self, rng: np.random.Generator, n: int) -> list[int]:
+        """Indices into ``points.atoms`` of n i.i.d. points, drawn with a
+        stream equal to ``rng.choice``'s over the atoms' masses."""
+        return draw_indices(self._table[1], rng, n).tolist()  # type: ignore[attr-defined]
+
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
-        labels, masses = self._table  # type: ignore[attr-defined]
-        idx = rng.choice(len(labels), size=n, p=masses)
-        return tuple(labels[i] for i in idx)
+        labels = self._table[0]  # type: ignore[attr-defined]
+        return tuple(labels[i] for i in self.draw_indices(rng, n))
 
     def expected_loss(self, hypothesis: Any, loss_eval: Callable[[Any, Any], float]) -> float:
         return sum(m * loss_eval(hypothesis, z) for z, m in self.points.atoms if m > 0.0)
@@ -428,16 +432,23 @@ class GapEstimate:
 
 MIN_GAP_TRIALS = 100
 
+#: a gap or AUROC call memoizes per-atom losses or scores for at most this
+#: many (hypothesis, atom) pairs; it evaluates the points of a hypothesis
+#: first seen past that budget one by one, with the same arithmetic
+MEMO_ATOMS = 2**22
+
 
 def _fitted_trials(
     learner: Callable, population: Population, n: int, trials: int, seed: int, stream: str
-) -> Iterator[tuple[tuple, Any]]:
-    """Yield (dataset, hypothesis) per trial: trial t seeds its generator with
-    ``derive_seed(seed, stream, t)``, draws Z ~ D^n and runs the learner."""
+) -> Iterator[tuple[list[int], Any]]:
+    """Yield (atom indices of Z, hypothesis) per trial: trial t seeds its
+    generator with ``derive_seed(seed, stream, t)``, draws Z ~ D^n and runs
+    the learner on Z with the same generator."""
+    labels = population.points.labels()
     for t in range(trials):
         rng = np.random.default_rng(derive_seed(seed, stream, t))
-        dataset = population.draw(rng, n)
-        yield dataset, learner(dataset, rng)
+        idx = population.draw_indices(rng, n)
+        yield idx, learner(tuple([labels[i] for i in idx]), rng)
 
 
 def estimate_gap(
@@ -454,16 +465,36 @@ def estimate_gap(
     and exact population loss.  Returns a :class:`GapEstimate`; with
     ``return_samples`` also the per-trial (empirical, population) array.
 
+    Trials draw atom indices with a stream equal to ``rng.choice``'s, so the
+    learner sees the same Z and the same generator state.  Losses are
+    memoized per distinct hypothesis: its population loss and, within
+    ``MEMO_ATOMS``, its loss at each atom, from which a trial sums its
+    points' losses in draw order.
+    So learner outputs must be hashable, and equal outputs must have equal
+    losses, as the kernel contract already assumes.
+
     The trials floor keeps the normal-approximation 95% CI honest.
     """
     if trials < MIN_GAP_TRIALS:
         raise ValueError(f"need at least {MIN_GAP_TRIALS} trials, got {trials}")
     loss_eval = getattr(loss, "eval", loss)
+    atoms = population.points.atoms
+    memo: dict[Any, tuple[list | None, float]] = {}
     emp = np.empty(trials)
     pop = np.empty(trials)
-    for t, (dataset, hypothesis) in enumerate(_fitted_trials(learner, population, n, trials, seed, "gap")):
-        emp[t] = sum(loss_eval(hypothesis, z) for z in dataset) / n
-        pop[t] = population.expected_loss(hypothesis, loss_eval)
+    for t, (idx, hypothesis) in enumerate(_fitted_trials(learner, population, n, trials, seed, "gap")):
+        entry = memo.get(hypothesis)
+        if entry is None:
+            # zero-mass atoms are never drawn, so their loss is never read
+            losses = None
+            if (len(memo) + 1) * len(atoms) <= MEMO_ATOMS:
+                losses = [loss_eval(hypothesis, z) if m > 0.0 else None for z, m in atoms]
+            entry = memo[hypothesis] = losses, population.expected_loss(hypothesis, loss_eval)
+        losses, pop[t] = entry
+        if losses is None:
+            emp[t] = sum([loss_eval(hypothesis, atoms[i][0]) for i in idx]) / n
+        else:
+            emp[t] = sum([losses[i] for i in idx]) / n
     est = GapEstimate.from_samples(emp, pop, seed)
     if return_samples:
         return est, np.stack([emp, pop], axis=1)
@@ -679,18 +710,31 @@ def check_auroc(
     population AUROC of the learned scorer; the LHS is the frequency of
     deviations above ``epsilon`` and the RHS is the ``auroc`` row of
     ``THEOREMS``.
+
+    Trials draw as in :func:`estimate_gap`, with a stream equal to
+    ``rng.choice``'s.  Scores are memoized per distinct scorer: its
+    population AUROC and, within ``MEMO_ATOMS``, its score at each atom.
+    So learner outputs must be hashable, and equal outputs must have equal
+    scores.
     """
-    pop_cache: dict[Any, float] = {}
+    atoms = population.points.atoms
+    positive = np.array([1 if m > 0.0 and is_positive(z) else 0 for z, m in atoms])
+    memo: dict[Any, tuple[np.ndarray | None, float]] = {}
     emps = np.empty(trials)
     pops = np.empty(trials)
-    for t, (dataset, w) in enumerate(_fitted_trials(learner, population, n, trials, seed, "auroc")):
-        scores = [score_of(w, z) for z in dataset]
-        labels = [1 if is_positive(z) else 0 for z in dataset]
-        if w not in pop_cache:
-            pop_cache[w] = population_auroc(
-                population.points, lambda z: score_of(w, z), is_positive
-            )
-        emps[t], pops[t] = empirical_auroc(scores, labels), pop_cache[w]
+    for t, (idx, w) in enumerate(_fitted_trials(learner, population, n, trials, seed, "auroc")):
+        entry = memo.get(w)
+        if entry is None:
+            scores = None
+            if (len(memo) + 1) * len(atoms) <= MEMO_ATOMS:
+                scores = np.array([score_of(w, z) if m > 0.0 else 0.0 for z, m in atoms], dtype=float)
+            entry = memo[w] = scores, population_auroc(population.points, lambda z: score_of(w, z), is_positive)
+        scores, pops[t] = entry
+        if scores is None:
+            drawn = np.array([score_of(w, atoms[i][0]) for i in idx], dtype=float)
+        else:
+            drawn = scores[idx]
+        emps[t] = empirical_auroc(drawn, positive[idx])
     freq = float((np.abs(emps - pops) > epsilon).mean())
     freq_ci = Z_95 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
     p = positive_rate(population.points, is_positive)

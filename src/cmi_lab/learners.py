@@ -30,9 +30,7 @@ hypothesis classes for the consistent ERM are likewise out of scope.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,9 +76,6 @@ class ThresholdHypothesis:
 
     def predict(self, x) -> int:
         return 1 if x >= self.t else 0
-
-    def to_string(self) -> str:
-        return threshold_to_string(self)
 
 
 def threshold_learn(dataset: Sequence[LabeledPoint]) -> ThresholdHypothesis:
@@ -179,9 +174,6 @@ class ParityHypothesis:
 
     def predict(self, x: Sequence[int]) -> int:
         return sum(a & b for a, b in zip(self.w, x)) & 1
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.w)
 
 
 def _bits_to_mask(bits: Sequence[int]) -> int:
@@ -637,73 +629,3 @@ def pathological_selection_entropy(supersample: Supersample) -> float:
     distinct_rows = sum(1 for a, b in supersample.grid if a != b)
     return distinct_rows * math.log(2.0)
 
-
-# ---------------------------------------------------------------------------
-# dataset I/O and hypothesis serialization
-# ---------------------------------------------------------------------------
-
-
-def dataset_from_csv(path: str) -> Dataset:
-    """Rows are feature columns followed by a final bit label; a single
-    feature column stays scalar, several become a tuple."""
-    out: list[LabeledPoint] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            *xs, y = row
-            feats = tuple(float(v) for v in xs)
-            out.append((feats[0] if len(feats) == 1 else feats, int(y)))
-    return tuple(out)
-
-
-def dataset_from_json(source: str | list) -> Dataset:
-    obj = json.loads(source) if isinstance(source, str) else source
-    out: list[LabeledPoint] = []
-    for x, y in obj:
-        out.append((tuple(x) if isinstance(x, list) else x, int(y)))
-    return tuple(out)
-
-
-def threshold_to_string(h: ThresholdHypothesis) -> str:
-    """Thresholds serialize as exact decimal strings."""
-    t = h.t
-    if t == math.inf:
-        return "inf"
-    if isinstance(t, Fraction):
-        den = t.denominator
-        k = 0
-        while den % 2 == 0:
-            den //= 2
-            k += 1
-        fives = 0
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        if den != 1:
-            raise ValueError("threshold has no terminating decimal expansion")
-        k = max(k, fives)
-        scaled = t * 10**k
-        whole, rem = divmod(scaled.numerator, scaled.denominator)
-        if rem:
-            raise RuntimeError("scaling failed to clear the denominator")
-        text = str(whole).rjust(k + 1, "0")
-        return text[:-k] + "." + text[-k:] if k else text
-    return repr(float(t))
-
-
-def threshold_from_string(s: str) -> ThresholdHypothesis:
-    if s == "inf":
-        return ThresholdHypothesis(math.inf)
-    if "." in s and len(s.split(".")[1]) > 17:
-        whole, frac = s.split(".")
-        return ThresholdHypothesis(Fraction(int(whole + frac), 10 ** len(frac)))
-    return ThresholdHypothesis(float(s))
-
-
-def parity_to_string(h: ParityHypothesis) -> str:
-    return h.to_string()
-
-
-def parity_from_string(s: str) -> ParityHypothesis:
-    return ParityHypothesis(tuple(int(c) for c in s))

@@ -335,15 +335,25 @@ class TestCli:
 
 
 class TestBundledSuiteCli:
-    def test_bundled_suite_exits_zero(self, tmp_path):
+    @staticmethod
+    def _suite_digest(tmp_path, *extra):
         out = tmp_path / "bundle.csv"
         code = cli.main(
-            ["suite", "--config", bundled_suite_path(), "--out", str(out), "--format", "csv"]
+            ["suite", "--config", bundled_suite_path(), "--out", str(out), "--format", "csv", *extra]
         )
         assert code == 0
         assert out.read_text().count("\n") >= 2
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_bundled_suite_exits_zero(self, tmp_path):
+        assert self._suite_digest(tmp_path) == (
             "ec6664a107ddca299f7f055aadd1c715f69adc71034ed370494428212eb735bb"
+        )
+
+    def test_bundled_suite_seed_override_digest(self, tmp_path):
+        # a second seed pins the trial loops' draws and sums byte for byte
+        assert self._suite_digest(tmp_path, "--seed-override", "1") == (
+            "a45cd480c7e2d98b6232b86613e7bd04a3f6609d25f802250e10ab4d89d4ad68"
         )
 
 

@@ -23,8 +23,6 @@ from cmi_lab.learners import (
     ThresholdHypothesis,
     compression_wrap,
     consistent_erm,
-    dataset_from_csv,
-    dataset_from_json,
     decode_dataset,
     encode_dataset_below,
     interval_class,
@@ -33,18 +31,14 @@ from cmi_lab.learners import (
     parity_kernel,
     parity_learn,
     parity_population,
-    parity_from_string,
-    parity_to_string,
     pathological_erm,
     pathological_kernel,
     pathological_selection_entropy,
     sauer_shelah_cap,
     threshold_class,
-    threshold_from_string,
     threshold_kernel,
     threshold_learn,
     threshold_selection_entropy,
-    threshold_to_string,
     vc_dimension,
 )
 
@@ -188,10 +182,6 @@ class TestParityLearn:
         bound = 2 ** (d - n) * (n * LOG2 + 1)
         assert est.value <= bound
         assert bound == pytest.approx(0.943, abs=1e-3)
-
-    def test_string_round_trip(self):
-        h = ParityHypothesis((1, 0, 1))
-        assert parity_from_string(parity_to_string(h)) == h
 
 
 def _gf2_rank(mat):
@@ -457,25 +447,5 @@ class TestPathologicalErm:
 
 
 class TestSerializationAndIo:
-    def test_threshold_strings(self):
-        assert threshold_to_string(ThresholdHypothesis(math.inf)) == "inf"
-        assert threshold_from_string("inf").t == math.inf
-        h = ThresholdHypothesis(0.25)
-        assert threshold_from_string(threshold_to_string(h)).t == h.t
-        exact = ThresholdHypothesis(Fraction(314159, 10**25))
-        assert threshold_from_string(threshold_to_string(exact)).t == exact.t
-
-    def test_dataset_from_json(self):
-        ds = dataset_from_json([[0.5, 1], [[0, 1], 0]])
-        assert ds == ((0.5, 1), ((0, 1), 0))
-
-    def test_dataset_from_csv(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.5,1\n0.25,0\n")
-        assert dataset_from_csv(str(path)) == ((0.5, 1), (0.25, 0))
-        multi = tmp_path / "multi.csv"
-        multi.write_text("1,0,1\n0,1,0\n")
-        assert dataset_from_csv(str(multi)) == (((1.0, 0.0), 1), ((0.0, 1.0), 0))
-
     def test_constant_hypothesis(self):
         assert ConstantHypothesis(1).predict("anything") == 1
