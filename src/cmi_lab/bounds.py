@@ -469,9 +469,9 @@ def estimate_gap(
     learner sees the same Z and the same generator state.  Losses are
     memoized per distinct hypothesis: its population loss and, within
     ``MEMO_ATOMS``, its loss at each atom, from which a trial sums its
-    points' losses in draw order.
-    So learner outputs must be hashable, and equal outputs must have equal
-    losses, as the kernel contract already assumes.
+    points' losses in draw order.  So learner outputs must be hashable,
+    and equal outputs must have equal losses, as the kernel contract
+    already assumes.
 
     The trials floor keeps the normal-approximation 95% CI honest.
     """
