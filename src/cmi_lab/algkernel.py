@@ -352,19 +352,12 @@ class CmiEstimate:
         return cls(**{name: obj[key] for key, name in cls.JSON_FIELDS})
 
 
-#: ``rng.choice``'s tolerance on the sum of its probabilities
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
 def sampling_table(dist: FiniteDistribution) -> tuple[tuple[Any, ...], np.ndarray]:
     """The labels of ``dist`` with the CDF of their masses, built as
-    ``rng.choice`` builds it from p = masses / sum, and checked here once
-    as ``rng.choice`` would check p on every call."""
+    ``rng.choice`` builds it from p = masses / sum."""
     labels = dist.labels()
     masses = np.array([dist.mass(lab) for lab in labels], dtype=float)
     p = masses / masses.sum()
-    if not (p >= 0.0).all() or not abs(math.fsum(p) - 1.0) <= _CHOICE_ATOL:
-        raise ValueError(f"masses of {len(labels)} labels are not a probability vector")
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return labels, cdf

@@ -432,10 +432,38 @@ class GapEstimate:
 
 MIN_GAP_TRIALS = 100
 
-#: a gap or AUROC call memoizes per-atom losses or scores for at most this
-#: many (hypothesis, atom) pairs; it evaluates the points of a hypothesis
-#: first seen past that budget one by one, with the same arithmetic
+#: a gap or AUROC call's memo holds per-atom slots for at most this many
+#: (hypothesis, atom) pairs; a hypothesis first seen past it empties the memo
 MEMO_ATOMS = 2**22
+
+
+def _output_memo(
+    atoms: Sequence[tuple[Any, float]],
+    point_value: Callable[[Any, Any], float],
+    population_value: Callable[[Any], float],
+) -> Callable[[Any, Sequence[int]], tuple[list, float]]:
+    """Memoized values of learner outputs for one gap or AUROC call.
+
+    ``lookup(w, idx)`` returns w's point values at the atoms ``idx``, in
+    draw order, and w's population value.  Each is computed once per output
+    and atom, on first need: a new output costs its population value and
+    the points of its own trial, as evaluating point by point does.
+    """
+    memo: dict[Any, tuple[list, float]] = {}
+
+    def lookup(w: Any, idx: Sequence[int]) -> tuple[list, float]:
+        entry = memo.get(w)
+        if entry is None:
+            if (len(memo) + 1) * len(atoms) > MEMO_ATOMS:
+                memo.clear()
+            entry = memo[w] = [None] * len(atoms), population_value(w)
+        values, population = entry
+        for i in idx:
+            if values[i] is None:
+                values[i] = point_value(w, atoms[i][0])
+        return [values[i] for i in idx], population
+
+    return lookup
 
 
 def _fitted_trials(
@@ -467,34 +495,24 @@ def estimate_gap(
 
     Trials draw atom indices with a stream equal to ``rng.choice``'s, so the
     learner sees the same Z and the same generator state.  Losses are
-    memoized per distinct hypothesis: its population loss and, within
-    ``MEMO_ATOMS``, its loss at each atom, from which a trial sums its
-    points' losses in draw order.  So learner outputs must be hashable,
-    and equal outputs must have equal losses, as the kernel contract
-    already assumes.
+    memoized per distinct hypothesis: its population loss and its loss at
+    each atom drawn so far, from which a trial sums its points' losses in
+    draw order.  So learner outputs must be hashable, and equal outputs
+    must have equal losses, as the kernel contract already assumes.
 
     The trials floor keeps the normal-approximation 95% CI honest.
     """
     if trials < MIN_GAP_TRIALS:
         raise ValueError(f"need at least {MIN_GAP_TRIALS} trials, got {trials}")
     loss_eval = getattr(loss, "eval", loss)
-    atoms = population.points.atoms
-    memo: dict[Any, tuple[list | None, float]] = {}
+    lookup = _output_memo(
+        population.points.atoms, loss_eval, lambda h: population.expected_loss(h, loss_eval)
+    )
     emp = np.empty(trials)
     pop = np.empty(trials)
     for t, (idx, hypothesis) in enumerate(_fitted_trials(learner, population, n, trials, seed, "gap")):
-        entry = memo.get(hypothesis)
-        if entry is None:
-            # zero-mass atoms are never drawn, so their loss is never read
-            losses = None
-            if (len(memo) + 1) * len(atoms) <= MEMO_ATOMS:
-                losses = [loss_eval(hypothesis, z) if m > 0.0 else None for z, m in atoms]
-            entry = memo[hypothesis] = losses, population.expected_loss(hypothesis, loss_eval)
-        losses, pop[t] = entry
-        if losses is None:
-            emp[t] = sum([loss_eval(hypothesis, atoms[i][0]) for i in idx]) / n
-        else:
-            emp[t] = sum([losses[i] for i in idx]) / n
+        losses, pop[t] = lookup(hypothesis, idx)
+        emp[t] = sum(losses) / n
     est = GapEstimate.from_samples(emp, pop, seed)
     if return_samples:
         return est, np.stack([emp, pop], axis=1)
@@ -713,28 +731,19 @@ def check_auroc(
 
     Trials draw as in :func:`estimate_gap`, with a stream equal to
     ``rng.choice``'s.  Scores are memoized per distinct scorer: its
-    population AUROC and, within ``MEMO_ATOMS``, its score at each atom.
-    So learner outputs must be hashable, and equal outputs must have equal
-    scores.
+    population AUROC and its score at each atom drawn so far.  So learner
+    outputs must be hashable, and equal outputs must have equal scores.
     """
     atoms = population.points.atoms
     positive = np.array([1 if m > 0.0 and is_positive(z) else 0 for z, m in atoms])
-    memo: dict[Any, tuple[np.ndarray | None, float]] = {}
+    lookup = _output_memo(
+        atoms, score_of, lambda w: population_auroc(population.points, lambda z: score_of(w, z), is_positive)
+    )
     emps = np.empty(trials)
     pops = np.empty(trials)
     for t, (idx, w) in enumerate(_fitted_trials(learner, population, n, trials, seed, "auroc")):
-        entry = memo.get(w)
-        if entry is None:
-            scores = None
-            if (len(memo) + 1) * len(atoms) <= MEMO_ATOMS:
-                scores = np.array([score_of(w, z) if m > 0.0 else 0.0 for z, m in atoms], dtype=float)
-            entry = memo[w] = scores, population_auroc(population.points, lambda z: score_of(w, z), is_positive)
-        scores, pops[t] = entry
-        if scores is None:
-            drawn = np.array([score_of(w, atoms[i][0]) for i in idx], dtype=float)
-        else:
-            drawn = scores[idx]
-        emps[t] = empirical_auroc(drawn, positive[idx])
+        scores, pops[t] = lookup(w, idx)
+        emps[t] = empirical_auroc(scores, positive[idx])
     freq = float((np.abs(emps - pops) > epsilon).mean())
     freq_ci = Z_95 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / trials)
     p = positive_rate(population.points, is_positive)

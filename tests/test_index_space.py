@@ -157,8 +157,8 @@ def reference_auroc_samples(population, n, trials, seed):
     return emps, pops
 
 
-#: the default budget, one that memoizes the first hypothesis or two and
-#: evaluates later ones point by point, and one that memoizes none
+#: the default budget, one that empties the memo after a hypothesis or two,
+#: and one that empties it at every new hypothesis
 BUDGETS = st.sampled_from((bounds.MEMO_ATOMS, 20, 0))
 
 
@@ -185,3 +185,23 @@ def test_check_auroc_equals_per_point_loop(dist, n, seed, epsilon, budget):
     emps, pops = reference_auroc_samples(Population.from_finite(dist), n, 60, seed)
     assert report.lhs_estimate == GapEstimate.from_samples(emps, pops, seed)
     assert report.lhs_value == float((np.abs(emps - pops) > epsilon).mean())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(populations(), st.integers(1, 30), st.integers(0, 2**32))
+def test_new_hypotheses_cost_no_more_loss_calls(dist, n, seed):
+    """With every learner output distinct, the memo evaluates the loss no
+    more often than the per-point loop: each trial's drawn points plus one
+    pass over the positive-mass atoms."""
+    population = Population.from_finite(dist)
+    loss = loss_on(dist)
+    calls = []
+
+    def counted(w, z):
+        calls.append(z)
+        return loss(w, z)
+
+    distinct = lambda dataset, rng: (learner(dataset, rng), rng.random())
+    estimate_gap(distinct, population, lambda w, z: counted(w[0], z), n, 100, seed)
+    support = sum(1 for _, m in population.points.atoms if m > 0.0)
+    assert len(calls) <= 100 * (n + support)
